@@ -24,6 +24,7 @@ using namespace bst;
 namespace {
 
 la::index_t best_b(double latency_scale, int np, la::index_t p) {
+  const toeplitz::BlockToeplitz t = toeplitz::kms(p, 0.5);
   double best = 1e300;
   la::index_t arg = 0;
   for (la::index_t b : {1, 2, 4, 8, 16, 32, 64, 128}) {
@@ -34,9 +35,9 @@ la::index_t best_b(double latency_scale, int np, la::index_t p) {
       o.layout = simnet::Layout::V2;
       o.group = b;
     }
-    const double t = simnet::dist_schur_model(1, p, o).sim_seconds;
-    if (t < best) {
-      best = t;
+    const double sim = simnet::dist_schur_factor(t, o).sim_seconds;
+    if (sim < best) {
+      best = sim;
       arg = b;
     }
   }
@@ -44,6 +45,7 @@ la::index_t best_b(double latency_scale, int np, la::index_t p) {
 }
 
 la::index_t best_spread(double comm_scale, int np, la::index_t m, la::index_t p) {
+  const toeplitz::BlockToeplitz t = toeplitz::kms(m * p, 0.5).with_block_size(m);
   double best = 1e300;
   la::index_t arg = 0;
   for (la::index_t s : {1, 2, 4, 8, 16, 32}) {
@@ -55,9 +57,9 @@ la::index_t best_spread(double comm_scale, int np, la::index_t m, la::index_t p)
       o.layout = simnet::Layout::V3;
       o.spread = s;
     }
-    const double t = simnet::dist_schur_model(m, p, o).sim_seconds;
-    if (t < best) {
-      best = t;
+    const double sim = simnet::dist_schur_factor(t, o).sim_seconds;
+    if (sim < best) {
+      best = sim;
       arg = s;
     }
   }

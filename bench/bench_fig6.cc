@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   util::PerfReport report("bench_fig6");
   report.param("n", static_cast<std::int64_t>(n));
   report.param("np", static_cast<std::int64_t>(np));
+  const toeplitz::BlockToeplitz t = toeplitz::kms(n, 0.5);
   double best_sim = 1e300;
   for (la::index_t b : {1, 2, 4, 8, 16, 32, 64}) {
     simnet::DistOptions opt;
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
       opt.layout = simnet::Layout::V2;
       opt.group = b;
     }
-    simnet::DistResult r = simnet::dist_schur_model(1, n, opt);
+    simnet::DistResult r = simnet::dist_schur_factor(t, opt);
     best_sim = std::min(best_sim, r.sim_seconds);
     tab.row({static_cast<long long>(b), std::string(to_string(opt.layout)), r.sim_seconds,
              r.breakdown.compute / np, r.breakdown.shift / np, r.breakdown.barrier / np});

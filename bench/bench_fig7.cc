@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   const la::index_t m = cli.get_int("m", 8);
   const la::index_t n = cli.get_int("n", 4096);
   const int np = static_cast<int>(cli.get_int("np", 16));
-  const la::index_t p = n / m;
   bench::Obs obs(cli);
 
   std::cout << "# bench_fig7: " << n << " x " << n << " block Toeplitz, m=" << m
@@ -30,12 +29,13 @@ int main(int argc, char** argv) {
   report.param("m", static_cast<std::int64_t>(m));
   report.param("np", static_cast<std::int64_t>(np));
 
+  const toeplitz::BlockToeplitz t = toeplitz::kms(n, 0.5).with_block_size(m);
   double best_sim = 1e300;
   auto add = [&](double blabel, simnet::DistOptions opt) {
-    simnet::DistResult r = simnet::dist_schur_model(m, p, opt);
+    simnet::DistResult r = simnet::dist_schur_factor(t, opt);
     best_sim = std::min(best_sim, r.sim_seconds);
     tab.row({blabel, std::string(to_string(opt.layout)), r.sim_seconds,
-             r.breakdown.compute / np, r.breakdown.broadcast, r.breakdown.shift / np});
+             r.breakdown.compute / np, r.breakdown.broadcast / np, r.breakdown.shift / np});
     if (opt.layout == simnet::Layout::V1) {
       // Per-PE comm volume for the paper's preferred scheme (section 7.1).
       for (const simnet::PeCommStats& pe : r.comm) {

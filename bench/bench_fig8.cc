@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   const la::index_t m = cli.get_int("m", 32);
   const la::index_t n = cli.get_int("n", 4096);
   const int np = static_cast<int>(cli.get_int("np", 64));
-  const la::index_t p = n / m;
   bench::Obs obs(cli);
 
   std::cout << "# bench_fig8: " << n << " x " << n << " block Toeplitz, m=" << m
@@ -28,25 +27,26 @@ int main(int argc, char** argv) {
   report.param("n", static_cast<std::int64_t>(n));
   report.param("m", static_cast<std::int64_t>(m));
   report.param("np", static_cast<std::int64_t>(np));
+  const toeplitz::BlockToeplitz t = toeplitz::kms(n, 0.5).with_block_size(m);
   double best_sim = 1e300;
   {
     simnet::DistOptions opt;
     opt.np = np;
     opt.layout = simnet::Layout::V1;
-    simnet::DistResult r = simnet::dist_schur_model(m, p, opt);
+    simnet::DistResult r = simnet::dist_schur_factor(t, opt);
     best_sim = std::min(best_sim, r.sim_seconds);
     tab.row({1LL, std::string("V1"), r.sim_seconds, r.breakdown.compute / np,
-             r.breakdown.broadcast, r.breakdown.barrier / np});
+             r.breakdown.broadcast / np, r.breakdown.barrier / np});
   }
   for (la::index_t spread : {2, 4, 8, 16, 32}) {
     simnet::DistOptions opt;
     opt.np = np;
     opt.layout = simnet::Layout::V3;
     opt.spread = spread;
-    simnet::DistResult r = simnet::dist_schur_model(m, p, opt);
+    simnet::DistResult r = simnet::dist_schur_factor(t, opt);
     best_sim = std::min(best_sim, r.sim_seconds);
     tab.row({static_cast<long long>(spread), std::string("V3"), r.sim_seconds,
-             r.breakdown.compute / np, r.breakdown.broadcast, r.breakdown.barrier / np});
+             r.breakdown.compute / np, r.breakdown.broadcast / np, r.breakdown.barrier / np});
     if (spread == 8) {  // the paper's optimum: keep its per-PE comm profile
       for (const simnet::PeCommStats& pe : r.comm) {
         report.add_pe_comm(pe.bytes_sent, pe.bytes_recv, pe.messages);

@@ -49,7 +49,6 @@
 #include "simnet/dist_schur.h"
 #include "simnet/machine.h"
 #include "simnet/runtime.h"
-#include "simnet/threaded_schur.h"
 #include "toeplitz/block_toeplitz.h"
 #include "toeplitz/fft.h"
 #include "toeplitz/generators.h"

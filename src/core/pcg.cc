@@ -8,6 +8,7 @@
 
 #include "la/condest.h"
 #include "la/norms.h"
+#include "util/cli.h"
 #include "util/fault.h"
 #include "util/flops.h"
 #include "util/metrics.h"
@@ -149,10 +150,10 @@ void CirculantPreconditioner::apply_inverse(const std::vector<double>& r,
 
 PcgOptions PcgOptions::from_env(PcgOptions base) {
   if (const char* s = std::getenv("BST_PCG_TOL"); s != nullptr && *s != '\0') {
-    base.tol = std::strtod(s, nullptr);
+    base.tol = util::parse_number<double>("BST_PCG_TOL", s);
   }
   if (const char* s = std::getenv("BST_PCG_MAXIT"); s != nullptr && *s != '\0') {
-    base.max_iters = std::max(1, std::atoi(s));
+    base.max_iters = static_cast<int>(std::max(1L, util::parse_number<long>("BST_PCG_MAXIT", s)));
   }
   return base;
 }

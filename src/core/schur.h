@@ -64,8 +64,8 @@ SchurFactor block_schur_factor(const toeplitz::BlockToeplitz& t, const SchurOpti
 
 /// One in-place factorization step on a prepared generator: builds the
 /// reflector from (A block 0, B block `step`) and applies it to the
-/// remaining active columns.  Exposed for the distributed driver, which
-/// performs the same step on distributed storage.  Throws on breakdown.
+/// remaining active columns.  Exposed for the kernel benchmarks, which time
+/// a single step.  Throws on breakdown.
 void schur_step(Generator& g, index_t step, const SchurOptions& opt);
 
 }  // namespace bst::core

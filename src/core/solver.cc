@@ -5,6 +5,7 @@
 
 #include "core/solve.h"
 #include "la/norms.h"
+#include "util/cli.h"
 #include "util/watchdog.h"
 
 namespace bst::core {
@@ -40,10 +41,10 @@ SolverPolicy SolverPolicy::from_env(SolverPolicy base) {
     base.kind = parse_solver_kind(s);
   }
   if (const char* s = std::getenv("BST_SOLVER_MIN_N"); s != nullptr && *s != '\0') {
-    base.pcg_min_n = static_cast<la::index_t>(std::strtol(s, nullptr, 10));
+    base.pcg_min_n = static_cast<la::index_t>(util::parse_number<long>("BST_SOLVER_MIN_N", s));
   }
   if (const char* s = std::getenv("BST_SOLVER_MAX_COND"); s != nullptr && *s != '\0') {
-    base.pcg_max_cond = std::strtod(s, nullptr);
+    base.pcg_max_cond = util::parse_number<double>("BST_SOLVER_MAX_COND", s);
   }
   return base;
 }

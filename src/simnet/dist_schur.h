@@ -1,26 +1,36 @@
-// Distributed block Schur factorization on the simulated machine
-// (paper section 7.1): the generator's block columns are laid out over a
-// linear array of NP PEs in one of three schemes --
+// Distributed block Schur factorization (paper section 7.1), written once
+// as per-PE code and run on either of two transports.
+//
+// The generator's block columns are laid out over a linear array of NP PEs
+// in one of three schemes --
 //
 //   V1: block-cyclic, one block per PE per round,
 //   V2: groups of `group` adjacent blocks per PE (less shift traffic,
 //       less parallelism),
-//   V3: each block split across `spread` adjacent PEs (more parallelism,
-//       `spread` times more broadcasts)
+//   V3: each block split column-wise over `spread` adjacent PEs (more
+//       parallelism, one broadcast per pivot column instead of per step)
 //
-// -- and each Schur step runs the compute/communicate phases of section 6.1
-// with explicit barrier synchronization:
-//   phase 3: shift the upper generator row one block to the right,
-//   phase 1: the pivot owner builds the block reflector,
-//   broadcast it, phase 2: every PE updates its owned columns, barrier.
+// -- and every PE keeps its slices (m wide for V1/V2, m/spread wide for V3)
+// in one contiguous local store.  Each Schur step is a fixed sequence of
+// supersteps; a message posted in a superstep is delivered at its end:
 //
-// For V1/V2 the factorization *really runs* on per-PE storage (block
-// columns move between PE stores during the shift), so the distributed
-// result can be bit-compared with the sequential one; V3 is cost-model
-// only (pass want_factor = false).
+//   shift:  send the A slices whose right neighbor lives elsewhere, move the
+//           rest locally (phase 3 of section 6.1),
+//   build:  the pivot owner builds the block reflector and broadcasts it
+//           (V3: one superstep per pivot column, in which the pivot group
+//           applies the previous column's reflector, then the column's
+//           owner builds and broadcasts this column's),
+//   apply:  every PE updates its trailing slices and hands its factor
+//           pieces to the sink (phase 2),
+//   barrier.
+//
+// Transport::Virtual runs the PEs one after another on the calling thread
+// and charges what they do to a simnet::Machine (simulated T3D time);
+// Transport::Threads runs one thread per PE over the runtime.h mailboxes.
+// Both execute the same arithmetic, so their factors are bitwise equal.
 #pragma once
 
-#include <optional>
+#include <functional>
 #include <vector>
 
 #include "core/block_reflector.h"
@@ -48,28 +58,38 @@ struct DistOptions {
   index_t block_size = 0;  // m_s override (0 = structural)
 };
 
-/// Result: virtual times plus (optionally) the actual factor.
+/// Where the PEs of the program run.
+enum class Transport {
+  Virtual,  // calling thread, PEs in turn; simulated time on a Machine
+  Threads,  // one thread per PE over runtime.h; no simulated time
+};
+
+/// Receives the factor R piece by piece: `piece` is R(row0 .. row0 + m,
+/// col0 .. col0 + piece.cols()).  Called by the PE holding the piece --
+/// under Transport::Threads concurrently, always for disjoint pieces.
+using FactorSink = std::function<void(index_t row0, index_t col0, la::CView piece)>;
+
+/// A sink copying every piece into `r` (n x n), which must outlive it.
+FactorSink collect_into(la::Mat& r);
+
+/// Simulated times and traffic (Transport::Virtual; zero under Threads).
 struct DistResult {
   double sim_seconds = 0.0;
-  TimeBreakdown breakdown;
+  TimeBreakdown breakdown;        // sums to np * sim_seconds
   std::vector<PeCommStats> comm;  // per-PE send/recv volume (paper sec. 7.1)
   index_t steps = 0;
-  std::optional<la::Mat> r;  // the n x n factor when requested
   /// Per-PE span capture (empty unless the Tracer was enabled); feed to
   /// util::analyze_schedule for the comm matrix / critical path sections.
   util::ParSchedule schedule;
 };
 
-/// Runs the distributed factorization.  With want_factor the numerical
-/// factorization is actually carried out on distributed per-PE storage
-/// (V1/V2 only; throws std::invalid_argument for V3); without it, only the
-/// cost model runs (all layouts, any size).
+/// Factors the SPD block Toeplitz matrix `t` on opt.np PEs, streaming R
+/// into `sink` (may be empty).  Throws std::invalid_argument for bad
+/// options (V3 needs spread | np and spread | m) and NotPositiveDefinite,
+/// raised on every PE, on breakdown.
 DistResult dist_schur_factor(const toeplitz::BlockToeplitz& t, const DistOptions& opt,
-                             bool want_factor);
-
-/// Cost-model-only convenience for size sweeps: a synthetic SPD spec of the
-/// given dimensions is assumed (no numerics executed).
-DistResult dist_schur_model(index_t m, index_t p, const DistOptions& opt);
+                             const FactorSink& sink = {},
+                             Transport transport = Transport::Virtual);
 
 /// Bytes needed to communicate one step's block reflector in the given
 /// representation (the YTY form's storage advantage, paper section 6.5).

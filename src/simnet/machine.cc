@@ -4,24 +4,9 @@
 #include <cassert>
 #include <cmath>
 
-#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace bst::simnet {
-namespace {
-
-// Same histogram as the threaded runtime's Comm::send, so both backends'
-// message-size distributions land in one "simnet_msg_bytes" report entry.
-util::HistId msg_hist() {
-  static const util::HistId id = util::Metrics::histogram("simnet_msg_bytes");
-  return id;
-}
-
-void record_msg_bytes(double bytes) {
-  if (!util::Tracer::enabled() || bytes < 0.0) return;
-  util::Metrics::record(msg_hist(), static_cast<std::uint64_t>(bytes));
-}
-
-}  // namespace
 
 Machine::Machine(int np, MachineParams params) : params_(params) {
   assert(np >= 1);
@@ -54,34 +39,11 @@ void Machine::compute(int pe, double flops) {
   acct_.compute += dt;
 }
 
-void Machine::put(int src, int dst, double bytes) { put_many(src, dst, 1.0, bytes); }
-
-void Machine::put_many(int src, int dst, double messages, double bytes) {
-  if (src == dst || messages <= 0.0) return;
-  const double dt = messages * params_.latency + messages * bytes / params_.bandwidth;
-  double& s = clock_[static_cast<std::size_t>(src)];
-  double& d = clock_[static_cast<std::size_t>(dst)];
-  // Sender is busy for the injections; receiver synchronizes with arrival.
-  rec(src, util::SpanKind::kSend, s, s + dt, messages * bytes, dst);
-  s += dt;
-  // The receive span may be zero-length (message arrived before the
-  // receiver would have waited); it still carries the bytes for the
-  // communication matrix.
-  rec(dst, util::SpanKind::kRecv, d, std::max(d, s), messages * bytes, src);
-  d = std::max(d, s);
-  acct_.shift += dt;
-  record_msg_bytes(bytes);
-  comm_[static_cast<std::size_t>(src)].bytes_sent += messages * bytes;
-  comm_[static_cast<std::size_t>(src)].messages += messages;
-  comm_[static_cast<std::size_t>(dst)].bytes_recv += messages * bytes;
-}
-
 void Machine::exchange(const std::vector<ShiftMsg>& msgs) {
   const std::vector<double> snap = clock_;
   for (const ShiftMsg& m : msgs) {
     if (m.src == m.dst || m.messages <= 0.0) continue;
     const double dt = m.messages * (params_.latency + m.bytes / params_.bandwidth);
-    record_msg_bytes(m.bytes);
     const double arrive = snap[static_cast<std::size_t>(m.src)] + dt;
     double& sc = clock_[static_cast<std::size_t>(m.src)];
     double& dc = clock_[static_cast<std::size_t>(m.dst)];
@@ -90,14 +52,15 @@ void Machine::exchange(const std::vector<ShiftMsg>& msgs) {
     rec(m.dst, util::SpanKind::kRecv, dc, std::max(dc, arrive), m.messages * m.bytes, m.src);
     sc = std::max(sc, arrive);
     dc = std::max(dc, arrive);
-    acct_.shift += dt;
     comm_[static_cast<std::size_t>(m.src)].bytes_sent += m.messages * m.bytes;
     comm_[static_cast<std::size_t>(m.src)].messages += m.messages;
     comm_[static_cast<std::size_t>(m.dst)].bytes_recv += m.messages * m.bytes;
   }
+  acct_.shift += advance_since(snap);
 }
 
 void Machine::broadcast(int root, double bytes) {
+  const std::vector<double> before = clock_;
   const int depth = tree_depth();
   const double per_hop = params_.latency + bytes / params_.bandwidth;
   const double dt = static_cast<double>(depth) * per_hop;
@@ -110,8 +73,7 @@ void Machine::broadcast(int root, double bytes) {
     }
     c = std::max(c, t0);
   }
-  acct_.broadcast += dt;
-  record_msg_bytes(bytes);
+  acct_.broadcast += advance_since(before);
   comm_[static_cast<std::size_t>(root)].bytes_sent += bytes;
   comm_[static_cast<std::size_t>(root)].messages += 1.0;
   for (int pe = 0; pe < np(); ++pe) {
@@ -137,6 +99,12 @@ void Machine::barrier() {
     c = tmax + cost;
   }
   acct_.barrier += cost * static_cast<double>(np());
+}
+
+double Machine::advance_since(const std::vector<double>& before) const {
+  double sum = 0.0;
+  for (std::size_t pe = 0; pe < clock_.size(); ++pe) sum += clock_[pe] - before[pe];
+  return sum;
 }
 
 double Machine::time() const { return *std::max_element(clock_.begin(), clock_.end()); }

@@ -74,17 +74,11 @@ class Machine {
   /// Advances `pe`'s clock by flops / flop_rate.
   void compute(int pe, double flops);
 
-  /// Point-to-point message of `bytes` from src to dst.
-  void put(int src, int dst, double bytes);
-
-  /// `messages` back-to-back puts of `bytes` each (e.g. one shmem put per
-  /// non-contiguous block during the generator shift): the sender pays the
-  /// per-message latency `messages` times.
-  void put_many(int src, int dst, double messages, double bytes);
-
   /// One concurrent exchange: every entry is sent simultaneously from a
-  /// snapshot of the current clocks (one-sided puts do not chain), unlike
-  /// consecutive put_many calls which would serialize around the ring.
+  /// snapshot of the current clocks (one-sided puts do not chain, unlike
+  /// consecutive exchanges, which serialize around the ring).  An entry's
+  /// sender pays the latency of each of its `messages` back-to-back puts;
+  /// the receiver synchronizes with the arrival.
   struct ShiftMsg {
     int src, dst;
     double messages, bytes;
@@ -105,8 +99,10 @@ class Machine {
   /// Elapsed virtual time = max clock.
   [[nodiscard]] double time() const;
 
-  /// Aggregate accounting (sums of per-PE charges by category; the
-  /// `barrier` bucket holds the idle time absorbed at barriers).
+  /// Aggregate accounting: each primitive adds the clock advances it caused
+  /// on every PE (receiver waits included; the `barrier` bucket holds the
+  /// idle time absorbed at barriers), so the buckets sum to the PEs' clocks
+  /// -- np * time() once a barrier has aligned them.
   [[nodiscard]] const TimeBreakdown& breakdown() const noexcept { return acct_; }
 
   /// Per-PE bytes sent/received and messages injected.
@@ -123,6 +119,7 @@ class Machine {
 
  private:
   [[nodiscard]] int tree_depth() const;
+  [[nodiscard]] double advance_since(const std::vector<double>& before) const;
   void rec(int pe, util::SpanKind kind, double t0, double t1, double bytes = 0.0,
            int peer = -1);
 

@@ -8,17 +8,6 @@
 #include "util/metrics.h"
 
 namespace bst::simnet {
-namespace {
-
-// Payload sizes of SPMD messages (shared with the cost-model backend, which
-// records its simulated sizes to the same histogram).
-util::HistId msg_hist() {
-  static const util::HistId id = util::Metrics::histogram("simnet_msg_bytes");
-  return id;
-}
-
-}  // namespace
-
 /// Shared state of one SPMD run.
 class SpmdContext {
  public:
@@ -92,9 +81,6 @@ util::PhaseId recv_phase() {
 }  // namespace
 
 void Comm::send(int dst, int tag, std::vector<double> data) {
-  if (util::Tracer::enabled()) {
-    util::Metrics::record(msg_hist(), data.size() * sizeof(double));
-  }
   util::TraceSpan span(send_phase());
   util::ByteCounter::charge(data.size() * sizeof(double));
   ctx_->send(rank_, dst, tag, std::move(data));

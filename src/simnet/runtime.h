@@ -4,9 +4,9 @@
 // actually *executes* the distributed algorithm concurrently: every PE is
 // a thread with its own storage, communicating only through explicit
 // messages -- the same programming model as the paper's shmem code on the
-// T3D.  Used by threaded_schur.{h,cc} and its tests to demonstrate that
-// the distributed formulation is really message-driven, not a loop nest in
-// disguise.
+// T3D.  It carries dist_schur's thread transport, which shows that the
+// distributed program is really message-driven and deadlock-free under
+// real concurrency, not a loop nest in disguise.
 //
 // Semantics:
 //   * send/recv are point-to-point with a tag; matching is FIFO per

@@ -3,8 +3,30 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 namespace bst::util {
+
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  constexpr bool integral = std::is_integral_v<T>;
+  const char* s = text.c_str();
+  char* end = nullptr;
+  T v{};
+  if constexpr (integral) {
+    v = std::strtol(s, &end, 10);
+  } else {
+    v = std::strtod(s, &end);
+  }
+  if (end == s || *end != '\0') {
+    throw std::runtime_error(what + ": expected " + (integral ? "an integer" : "a number") +
+                             ", got '" + text + "'");
+  }
+  return v;
+}
+
+template long parse_number<long>(const std::string&, const std::string&);
+template double parse_number<double>(const std::string&, const std::string&);
 
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -27,26 +49,12 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 
 long Cli::get_int(const std::string& key, long fallback) const {
   const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  const char* s = it->second.c_str();
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') {
-    throw std::runtime_error("--" + key + ": expected an integer, got '" + it->second + "'");
-  }
-  return v;
+  return it == kv_.end() ? fallback : parse_number<long>("--" + key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
-  if (it == kv_.end()) return fallback;
-  const char* s = it->second.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') {
-    throw std::runtime_error("--" + key + ": expected a number, got '" + it->second + "'");
-  }
-  return v;
+  return it == kv_.end() ? fallback : parse_number<double>("--" + key, it->second);
 }
 
 bool Cli::has(const std::string& key) const { return kv_.contains(key); }

@@ -6,6 +6,14 @@
 
 namespace bst::util {
 
+/// Parses all of `text` as a T (long or double).  An empty value or
+/// trailing garbage throws std::runtime_error naming `what` -- a flag such
+/// as "--np" or an environment variable such as "BST_PCG_TOL" -- instead of
+/// silently truncating to the leading digits.  The one numeric parser of
+/// both command lines and BST_* variables.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text);
+
 /// Parses arguments of the form --key=value (or bare --flag => "1").
 /// Unrecognized positional arguments are ignored.
 class Cli {
@@ -15,9 +23,8 @@ class Cli {
   /// Returns the value for `key`, or `fallback` when absent.
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
 
-  /// Numeric accessors parse the *whole* value: trailing garbage
-  /// (`--np=4x`, `--panel=8q`) throws std::runtime_error naming the flag
-  /// instead of silently truncating to the leading digits.
+  /// Numeric accessors parse the *whole* value (parse_number): trailing
+  /// garbage (`--np=4x`, `--panel=8q`) throws naming the flag.
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;

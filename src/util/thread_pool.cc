@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/cli.h"
 #include "util/metrics.h"
 #include "util/stallguard.h"
 #include "util/trace.h"
@@ -137,7 +138,7 @@ std::uint64_t ThreadPool::run_chunks(Task& task, StatSlot& stats) {
     std::size_t lo;
     {
       std::lock_guard lock(mu_);
-      if (next_ >= task.end) break;
+      if (generation_ != task.generation || next_ >= task.end) break;
       lo = next_;
       next_ = std::min(task.end, next_ + task.grain);
     }
@@ -178,12 +179,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // join so threaded and serial runs charge identical totals.
   std::atomic<std::uint64_t> flops{0};
   std::atomic<std::uint64_t> bytes{0};
-  Task task{begin, end, grain, &body, &flops, &bytes};
+  Task task{begin, end, grain, 0, &body, &flops, &bytes};
   {
     std::lock_guard lock(mu_);
+    task.generation = ++generation_;
     task_ = task;
     next_ = begin;
-    ++generation_;
   }
   cv_start_.notify_all();
   const bool was_in_parallel = tl_in_parallel;
@@ -222,8 +223,8 @@ void ThreadPool::reset_worker_stats() {
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool([] {
-    if (const char* env = std::getenv("BST_THREADS")) {
-      const long n = std::strtol(env, nullptr, 10);
+    if (const char* env = std::getenv("BST_THREADS"); env != nullptr && *env != '\0') {
+      const long n = parse_number<long>("BST_THREADS", env);
       if (n > 0) return static_cast<std::size_t>(n);
     }
     return std::size_t{0};

@@ -70,6 +70,10 @@ class ThreadPool {
  private:
   struct Task {
     std::size_t begin = 0, end = 0, grain = 1;
+    // The dispatch this task belongs to: a worker that wakes after its
+    // parallel_for returned still holds the finished task, and must not
+    // claim the next dispatch's indices for the destroyed body.
+    std::size_t generation = 0;
     const std::function<void(std::size_t)>* body = nullptr;
     // Flop/byte charges made by pool workers while executing this task's
     // chunks; parallel_for adds them to the *caller's* thread-local counters

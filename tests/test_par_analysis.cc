@@ -31,7 +31,7 @@ simnet::DistResult run_model(int np, la::index_t m, la::index_t p, simnet::Layou
   opt.layout = layout;
   opt.group = group;
   opt.spread = spread;
-  return simnet::dist_schur_model(m, p, opt);
+  return simnet::dist_schur_factor(toeplitz::kms(m * p, 0.5).with_block_size(m), opt);
 }
 
 double matrix_total(const util::ParAnalysis& a) {
@@ -149,7 +149,9 @@ TEST(ParAnalysis, FactorPathCapturesScheduleToo) {
   simnet::DistOptions opt;
   opt.np = 4;
   opt.layout = simnet::Layout::V1;
-  simnet::DistResult res = simnet::dist_schur_factor(t, opt, /*want_factor=*/true);
+  la::Mat r(t.order(), t.order());
+  simnet::DistResult res = simnet::dist_schur_factor(t, opt, simnet::collect_into(r));
+  EXPECT_LT(la::max_diff(r.view(), core::block_schur_factor(t).r.view()), 1e-10);
   ASSERT_FALSE(res.schedule.empty());
   const util::ParAnalysis a = util::analyze_schedule(res.schedule);
   EXPECT_TRUE(a.consistent());

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/pcg.h"
@@ -168,6 +170,28 @@ TEST(PcgOptions, FromEnvOverrides) {
   const PcgOptions defaults = PcgOptions::from_env();
   EXPECT_DOUBLE_EQ(defaults.tol, 1e-13);
   EXPECT_EQ(defaults.max_iters, 500);
+}
+
+TEST(PcgOptions, FromEnvRejectsGarbageAndTreatsEmptyAsUnset) {
+  for (const char* var : {"BST_PCG_TOL", "BST_PCG_MAXIT"}) {
+    for (const char* bad : {"abc", "5x"}) {
+      setenv(var, bad, 1);
+      try {
+        (void)PcgOptions::from_env();
+        ADD_FAILURE() << var << "=" << bad << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+      }
+    }
+    setenv(var, "", 1);
+    const PcgOptions opt = PcgOptions::from_env();
+    EXPECT_DOUBLE_EQ(opt.tol, 1e-13);
+    EXPECT_EQ(opt.max_iters, 500);
+    unsetenv(var);
+  }
+  setenv("BST_PCG_MAXIT", "0", 1);  // parses: still clamped to one iteration
+  EXPECT_EQ(PcgOptions::from_env().max_iters, 1);
+  unsetenv("BST_PCG_MAXIT");
 }
 
 }  // namespace

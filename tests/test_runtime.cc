@@ -1,14 +1,16 @@
-// Tests for the threads-based message-passing runtime and the SPMD
-// distributed factorization running on it.
+// Tests for the threads-based message-passing runtime and for the
+// distributed factorization on both of its transports: real PE threads and
+// the virtual clock must produce the same factor, bit for bit.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <utility>
 
 #include "core/schur.h"
 #include "la/norms.h"
 #include "simnet/runtime.h"
-#include "simnet/threaded_schur.h"
+#include "simnet/dist_schur.h"
 #include "toeplitz/generators.h"
 
 namespace bst::simnet {
@@ -123,6 +125,25 @@ TEST(Runtime, RingPass) {
   });
 }
 
+// Factors `t` under both transports; returns the threads' factor after
+// checking it is bitwise equal to the virtual-clock one.
+la::Mat factor_both(const toeplitz::BlockToeplitz& t, const DistOptions& opt) {
+  const core::index_t n = t.order();
+  la::Mat threads(n, n), virt(n, n);
+  dist_schur_factor(t, opt, collect_into(threads), Transport::Threads);
+  dist_schur_factor(t, opt, collect_into(virt), Transport::Virtual);
+  for (core::index_t j = 0; j < n; ++j) {
+    for (core::index_t i = 0; i < n; ++i) {
+      if (threads(i, j) != virt(i, j)) {
+        ADD_FAILURE() << "transports differ at (" << i << ", " << j << "): " << threads(i, j)
+                      << " vs " << virt(i, j);
+        return threads;
+      }
+    }
+  }
+  return threads;
+}
+
 class ThreadedSchurSweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(ThreadedSchurSweep, MatchesSequentialFactor) {
@@ -136,7 +157,7 @@ TEST_P(ThreadedSchurSweep, MatchesSequentialFactor) {
     opt.layout = Layout::V2;
     opt.group = group;
   }
-  la::Mat r = threaded_schur_factor(t, opt);
+  la::Mat r = factor_both(t, opt);
   EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
 }
 
@@ -149,7 +170,7 @@ TEST(ThreadedSchur, AllPesThrowOnIndefinite) {
   toeplitz::BlockToeplitz t = toeplitz::random_indefinite(8, 3, /*diag=*/0.2);
   DistOptions opt;
   opt.np = 4;
-  EXPECT_THROW(threaded_schur_factor(t, opt), core::NotPositiveDefinite);
+  EXPECT_THROW(dist_schur_factor(t, opt, {}, Transport::Threads), core::NotPositiveDefinite);
 }
 
 class ThreadedV3Sweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -164,7 +185,7 @@ TEST_P(ThreadedV3Sweep, SplitBlocksMatchSequential) {
   opt.np = np;
   opt.layout = Layout::V3;
   opt.spread = spread;
-  la::Mat r = threaded_schur_factor(t, opt);
+  la::Mat r = factor_both(t, opt);
   EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
 }
 
@@ -173,16 +194,52 @@ INSTANTIATE_TEST_SUITE_P(NpSpreadM, ThreadedV3Sweep,
                                             ::testing::Values(2, 4),
                                             ::testing::Values(4, 8)));
 
+TEST(ThreadedSchur, V3OnOneAndThreePes) {
+  for (const auto& [np, spread] : {std::pair{1, 1}, std::pair{3, 1}, std::pair{3, 3}}) {
+    toeplitz::BlockToeplitz t = toeplitz::random_spd_block(6, 8, 2, 17);
+    core::SchurFactor seq = core::block_schur_factor(t);
+    DistOptions opt;
+    opt.np = np;
+    opt.layout = Layout::V3;
+    opt.spread = spread;
+    la::Mat r = factor_both(t, opt);
+    EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10) << "np=" << np << " spread=" << spread;
+  }
+}
+
+// A breakdown on the pivot owner reaches every PE (each raises; the run
+// would otherwise deadlock or report a protocol error), on every layout and
+// both transports.
+class DistBreakdown : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(DistBreakdown, EveryPeRaisesNotPositiveDefinite) {
+  const auto [layouti, np, transport] = GetParam();
+  const toeplitz::BlockToeplitz t =
+      toeplitz::random_indefinite(16, 3, /*diag=*/1.0).with_block_size(2);  // T1 is SPD
+  DistOptions opt;
+  opt.np = np;
+  opt.layout = static_cast<Layout>(layouti);
+  opt.group = 2;
+  opt.spread = np % 2 == 0 ? 2 : 1;
+  EXPECT_THROW(dist_schur_factor(t, opt, {}, static_cast<Transport>(transport)),
+               core::NotPositiveDefinite);
+}
+
+INSTANTIATE_TEST_SUITE_P(LayoutNpTransport, DistBreakdown,
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Values(1, 2, 3, 4, 8),
+                                            ::testing::Values(0, 1)));
+
 TEST(ThreadedSchur, V3InvalidSpreadRejected) {
   toeplitz::BlockToeplitz t = toeplitz::random_spd_block(4, 4, 1, 1);
   DistOptions opt;
   opt.np = 4;
   opt.layout = Layout::V3;
   opt.spread = 3;  // does not divide np
-  EXPECT_THROW(threaded_schur_factor(t, opt), std::invalid_argument);
+  EXPECT_THROW(dist_schur_factor(t, opt, {}, Transport::Threads), std::invalid_argument);
   opt.np = 6;
   opt.spread = 3;  // divides np but not m = 4
-  EXPECT_THROW(threaded_schur_factor(t, opt), std::invalid_argument);
+  EXPECT_THROW(dist_schur_factor(t, opt, {}, Transport::Threads), std::invalid_argument);
 }
 
 TEST(ThreadedSchur, V3BreakdownThrowsEverywhere) {
@@ -192,7 +249,7 @@ TEST(ThreadedSchur, V3BreakdownThrowsEverywhere) {
   opt.np = 4;
   opt.layout = Layout::V3;
   opt.spread = 2;
-  EXPECT_THROW(threaded_schur_factor(t, opt), std::runtime_error);
+  EXPECT_THROW(dist_schur_factor(t, opt, {}, Transport::Threads), std::runtime_error);
 }
 
 TEST(ThreadedSchur, BlockSizeOverride) {
@@ -203,7 +260,7 @@ TEST(ThreadedSchur, BlockSizeOverride) {
   core::SchurOptions sopt;
   sopt.block_size = 4;
   core::SchurFactor seq = core::block_schur_factor(t, sopt);
-  la::Mat r = threaded_schur_factor(t, opt);
+  la::Mat r = factor_both(t, opt);
   EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
 }
 
@@ -212,7 +269,7 @@ TEST(ThreadedSchur, MorePesThanBlocks) {
   DistOptions opt;
   opt.np = 8;  // most PEs own nothing
   core::SchurFactor seq = core::block_schur_factor(t);
-  la::Mat r = threaded_schur_factor(t, opt);
+  la::Mat r = factor_both(t, opt);
   EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
 }
 

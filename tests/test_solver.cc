@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "baseline/block_levinson.h"
 #include "baseline/dense_solver.h"
@@ -138,6 +140,26 @@ TEST(SolverPolicy, FromEnvOverrides) {
   EXPECT_EQ(pol.pcg_min_n, 123);
   EXPECT_DOUBLE_EQ(pol.pcg_max_cond, 1e4);
   EXPECT_THROW(core::parse_solver_kind("bogus"), std::invalid_argument);
+}
+
+TEST(SolverPolicy, FromEnvRejectsGarbageAndTreatsEmptyAsUnset) {
+  const core::SolverPolicy defaults;
+  for (const char* var : {"BST_SOLVER_MIN_N", "BST_SOLVER_MAX_COND"}) {
+    for (const char* bad : {"abc", "5x"}) {
+      setenv(var, bad, 1);
+      try {
+        (void)core::SolverPolicy::from_env();
+        ADD_FAILURE() << var << "=" << bad << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+      }
+    }
+    setenv(var, "", 1);
+    const core::SolverPolicy pol = core::SolverPolicy::from_env();
+    EXPECT_EQ(pol.pcg_min_n, defaults.pcg_min_n);
+    EXPECT_DOUBLE_EQ(pol.pcg_max_cond, defaults.pcg_max_cond);
+    unsetenv(var);
+  }
 }
 
 TEST(ToeplitzSolve, PcgPathSolvesLargeWellConditioned) {

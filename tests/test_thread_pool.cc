@@ -124,6 +124,24 @@ TEST(ThreadPool, ChunkLatenciesFeedTheMetricsHistogram) {
   Tracer::reset();
 }
 
+TEST(ThreadPool, LateWorkerNeverRunsAFinishedTask) {
+  // Back-to-back dispatches over alternating ranges: a worker that wakes
+  // after its parallel_for returned must not run the finished body on the
+  // next dispatch's indices.
+  ThreadPool pool(8);
+  std::atomic<std::uint64_t> live{0};
+  std::atomic<std::uint64_t> stale{0};
+  for (std::uint64_t it = 0; it < 1'000'000; ++it) {
+    live.store(it, std::memory_order_relaxed);
+    const std::size_t lo = it % 2 == 0 ? 0 : 2;
+    const std::size_t hi = it % 2 == 0 ? 8 : 4;
+    pool.parallel_for(lo, hi, [&live, &stale, it, lo, hi](std::size_t i) {
+      if (live.load(std::memory_order_relaxed) != it || i < lo || i >= hi) stale.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(stale.load(), 0u);
+}
+
 TEST(ThreadPool, GlobalPoolExists) {
   auto& pool = ThreadPool::global();
   EXPECT_GE(pool.size(), 1u);

@@ -142,6 +142,20 @@ TEST(Cli, RejectsTrailingGarbageOnDoubles) {
   EXPECT_THROW((void)cli.get_double("empty", 0.0), std::runtime_error);
 }
 
+TEST(ParseNumber, NamesTheSourceAndRejectsPartialValues) {
+  EXPECT_EQ(parse_number<long>("BST_THREADS", "12"), 12);
+  EXPECT_DOUBLE_EQ(parse_number<double>("BST_PCG_TOL", "1e-9"), 1e-9);
+  for (const char* bad : {"abc", "5x", ""}) {
+    try {
+      (void)parse_number<long>("BST_THREADS", bad);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("BST_THREADS"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW((void)parse_number<double>("BST_PCG_TOL", bad), std::runtime_error) << bad;
+  }
+}
+
 TEST(Cli, RejectsNonNumericValues) {
   const char* argv[] = {"prog", "--n=abc", "--rate=fast"};
   Cli cli(3, const_cast<char**>(argv));

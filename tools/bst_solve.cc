@@ -26,11 +26,10 @@
 // seconds, metrics, warning count) for `bst_report --trend`.
 //
 // With --np the solve runs on the simulated distributed machine
-// (simnet/dist_schur.h): the V1/V2 layouts really factor on per-PE
-// storage and back-substitute through R^T R x = b; V3 is cost-model only
-// (no solution vector).  Without --matrix a synthetic SPD Kac-Murdock-
-// Szego system of order --n is used, so layout experiments need no input
-// files.  The profile then carries the per-PE sections ("pe_timeline",
+// (simnet/dist_schur.h): every layout factors on per-PE storage under
+// simulated time and back-substitutes through R^T R x = b.  Without
+// --matrix a synthetic SPD Kac-Murdock-Szego system of order --n is used,
+// so layout experiments need no input files.  The profile then carries the per-PE sections ("pe_timeline",
 // "comm_matrix", "critical_path") and the trace shows one "pe:<k>" track
 // per simulated PE (see docs/OBSERVABILITY.md for all formats).
 //
@@ -90,9 +89,9 @@ int help() {
       "\n"
       "simulated distributed machine:\n"
       "  --np=4              number of simulated PEs (enables simnet path)\n"
-      "  --layout=v1         data layout: v1|v2|v3 (v3 is cost-model only)\n"
-      "  --group=G           PE group size of the V2/V3 layouts\n"
-      "  --spread=S          block-row spread of the V3 layout\n"
+      "  --layout=v1         data layout: v1|v2|v3\n"
+      "  --group=G           adjacent blocks per PE of the V2 layout\n"
+      "  --spread=S          PEs sharing each block of the V3 layout\n"
       "\n"
       "observability (docs/OBSERVABILITY.md):\n"
       "  --report            print a one-line solve summary\n"
@@ -160,25 +159,22 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
   dopt.spread = cli.get_int("spread", 2);
   dopt.rep = parse_rep(cli.get("rep", "vy2"));
   dopt.block_size = cli.get_int("ms", 0);
-  const bool want_factor = dopt.layout != simnet::Layout::V3;
 
   const double t0 = util::wall_seconds();
-  simnet::DistResult res = simnet::dist_schur_factor(t, dopt, want_factor);
+  la::Mat r_factor(t.order(), t.order());
+  simnet::DistResult res = simnet::dist_schur_factor(t, dopt, simnet::collect_into(r_factor));
   const double dt = util::wall_seconds() - t0;
 
-  double residual = -1.0;
-  if (want_factor) {
-    std::vector<double> x;
-    core::solve_rtdr(std::as_const(*res.r).view(), nullptr, b, x);
-    std::vector<double> r;
-    toeplitz::MatVec op(t);
-    op.residual(b, x, r);
-    residual = la::norm2(r);
-    if (cli.has("out")) {
-      toeplitz::write_vector_file(cli.get("out", ""), x);
-    } else if (profile_path.empty() && trace_path.empty()) {
-      toeplitz::write_vector(std::cout, x);
-    }
+  std::vector<double> x;
+  core::solve_rtdr(std::as_const(r_factor).view(), nullptr, b, x);
+  std::vector<double> r;
+  toeplitz::MatVec op(t);
+  op.residual(b, x, r);
+  const double residual = la::norm2(r);
+  if (cli.has("out")) {
+    toeplitz::write_vector_file(cli.get("out", ""), x);
+  } else if (profile_path.empty() && trace_path.empty()) {
+    toeplitz::write_vector(std::cout, x);
   }
 
   const util::ParAnalysis analysis = util::analyze_schedule(res.schedule);
@@ -217,7 +213,7 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
   report.metric("sim_shift_s", res.breakdown.shift);
   report.metric("sim_barrier_s", res.breakdown.barrier);
   report.metric("steps", static_cast<double>(res.steps));
-  if (residual >= 0) report.metric("residual", residual);
+  report.metric("residual", residual);
   for (const simnet::PeCommStats& c : res.comm) {
     report.add_pe_comm(c.bytes_sent, c.bytes_recv, c.messages);
   }
@@ -231,11 +227,11 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
   if (cli.has("report")) {
     std::fprintf(stderr,
                  "bst_solve: n=%td np=%d layout=%s sim=%.3fms (compute %.3f / bcast %.3f / "
-                 "shift %.3f / barrier %.3f ms) imbalance=%.3f residual=%s%.3e\n",
+                 "shift %.3f / barrier %.3f ms) imbalance=%.3f residual=%.3e\n",
                  t.order(), dopt.np, simnet::to_string(dopt.layout), res.sim_seconds * 1e3,
                  res.breakdown.compute * 1e3, res.breakdown.broadcast * 1e3,
                  res.breakdown.shift * 1e3, res.breakdown.barrier * 1e3, analysis.imbalance,
-                 residual < 0 ? "(not computed) " : "", residual < 0 ? 0.0 : residual);
+                 residual);
   }
   return 0;
 }
