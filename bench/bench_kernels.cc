@@ -11,13 +11,17 @@
 // output.  sweep_model_ratio cross-checks the flop counters against the
 // closed-form models over the whole sweep (must stay within [0.9, 1.1] at
 // any thread count; the kernels charge closed forms merged at join, so any
-// drift means the counter plumbing broke).
+// drift means the counter plumbing broke).  A second, uncounted sweep rates
+// the memory-bound O(n^2) kernels: trsv GB/s per (uplo, op) and the Direct
+// MatVec residual.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_obs.h"
 #include "bst.h"
@@ -160,15 +164,16 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(clock::now() - t0).count();
 }
 
-// Best-of GF/s: one warmup, then repeat until ~50 ms accumulated (at least
-// two timed reps) and keep the fastest.
-double best_gflops(double flops, const std::function<void()>& fn) {
+// Best-of rate in units of `work` per ns (GF/s for flops, GB/s for bytes):
+// one warmup, then repeat until ~50 ms accumulated (at least two timed
+// reps) and keep the fastest.
+double best_rate(double work, const std::function<void()>& fn) {
   fn();  // warmup (packing buffers, page faults)
   double best = 0.0, total = 0.0;
   for (int rep = 0; rep < 16 && (rep < 2 || total < 0.05); ++rep) {
     const double s = seconds_of(fn);
     total += s;
-    if (s > 0.0) best = std::max(best, flops / s * 1e-9);
+    if (s > 0.0) best = std::max(best, work / s * 1e-9);
   }
   return best;
 }
@@ -185,11 +190,11 @@ double run_kernel_sweep(util::PerfReport& report) {
   for (const la::index_t n : {64, 128, 256, 512, 1024}) {
     la::Mat a = random_matrix(n, n, 11), b = random_matrix(n, n, 12), c(n, n);
     const double flops = 2.0 * n * n * n;
-    const double packed = best_gflops(flops, [&] {
+    const double packed = best_rate(flops, [&] {
       la::gemm(la::Op::None, la::Op::None, 1.0, a.view(), b.view(), 0.0, c.view());
       modeled += flops;
     });
-    const double seed = best_gflops(flops, [&] {
+    const double seed = best_rate(flops, [&] {
       la::detail::gemm_seed(la::Op::None, la::Op::None, 1.0, a.view(), b.view(), 0.0, c.view());
     });
     report.metric("gemm_packed_" + std::to_string(n) + "_gflops", packed);
@@ -204,11 +209,11 @@ double run_kernel_sweep(util::PerfReport& report) {
     la::Mat y = random_matrix(2 * m, m, 13), g = random_matrix(2 * m, width, 14);
     la::Mat c(m, width);
     const double flops = 2.0 * m * width * (2 * m);
-    const double packed = best_gflops(flops, [&] {
+    const double packed = best_rate(flops, [&] {
       la::gemm(la::Op::Trans, la::Op::None, 1.0, y.view(), g.view(), 0.0, c.view());
       modeled += flops;
     });
-    const double seed = best_gflops(flops, [&] {
+    const double seed = best_rate(flops, [&] {
       la::detail::gemm_seed(la::Op::Trans, la::Op::None, 1.0, y.view(), g.view(), 0.0, c.view());
     });
     report.metric("gemm_schur_m" + std::to_string(m) + "_gflops", packed);
@@ -220,7 +225,7 @@ double run_kernel_sweep(util::PerfReport& report) {
     const la::index_t n = 512, k = 256;
     la::Mat a = random_matrix(n, k, 15), c(n, n);
     const double flops = static_cast<double>(n) * (n + 1) * k;  // as charged
-    const double rate = best_gflops(flops, [&] {
+    const double rate = best_rate(flops, [&] {
       la::syrk_lower(1.0, a.view(), 0.0, c.view());
       modeled += flops;
     });
@@ -235,7 +240,7 @@ double run_kernel_sweep(util::PerfReport& report) {
     la::Mat b = random_matrix(m, cols, 17);
     la::Mat x(m, cols);
     const double flops = static_cast<double>(cols) * m * m;  // as charged
-    const double rate = best_gflops(flops, [&] {
+    const double rate = best_rate(flops, [&] {
       la::copy(b.view(), x.view());
       la::trsm(la::Side::Left, la::Uplo::Lower, la::Op::None, la::Diag::NonUnit, 1.0, t.view(),
                x.view());
@@ -248,6 +253,51 @@ double run_kernel_sweep(util::PerfReport& report) {
   table.precision(4);
   report.add_table(table);
   return modeled;
+}
+
+// The O(n^2) layers of a Schur solve, kept out of run_kernel_sweep so their
+// charges do not enter sweep_model_ratio.  trsv at n = 2048 for each
+// (uplo, op), in GB/s of the triangle read once (8 n(n+1)/2 bytes): CI
+// requires each no-transpose sweep to reach half the rate of its
+// transposed sweep, which a row-oriented loop at stride n does not.  Direct
+// MatVec, in GF/s of its 2 n^2 flops, on the shapes of the refinement
+// residuals: scalar n = 1024, and 4 x 4 and 16 x 16 blocks.
+void run_memory_sweep(util::PerfReport& report) {
+  util::Table table("O(n^2) layers: trsv (GB/s), Direct MatVec (GF/s)");
+  table.header({"kernel", "shape", "rate"});
+  {
+    const la::index_t n = 2048;
+    la::Mat t = random_matrix(n, n, 18);  // each solve reads one triangle
+    for (la::index_t j = 0; j < n; ++j) t(j, j) = static_cast<double>(n);
+    const la::Mat b = random_matrix(n, 1, 19);
+    std::vector<double> x(static_cast<std::size_t>(n));
+    const double bytes = 8.0 * static_cast<double>(n) * static_cast<double>(n + 1) / 2.0;
+    for (const la::Uplo uplo : {la::Uplo::Upper, la::Uplo::Lower}) {
+      for (const la::Op op : {la::Op::None, la::Op::Trans}) {
+        const double gbps = best_rate(bytes, [&] {
+          std::copy(b.data(), b.data() + n, x.begin());
+          la::trsv(uplo, op, la::Diag::NonUnit, t.view(), x.data());
+        });
+        const std::string combo = std::string(uplo == la::Uplo::Upper ? "upper" : "lower") +
+                                  (op == la::Op::None ? "_none" : "_trans");
+        report.metric("trsv_" + combo + "_2048_gbps", gbps);
+        table.row({"trsv " + combo, std::string("2048"), gbps});
+      }
+    }
+  }
+  for (const auto& [m, p] : {std::pair<la::index_t, la::index_t>{1, 1024}, {4, 128}, {16, 240}}) {
+    const toeplitz::BlockToeplitz t = toeplitz::random_spd_block(m, p, 4, 20);
+    const toeplitz::MatVec op(t, toeplitz::MatVecMode::Direct);
+    const std::vector<double> x(static_cast<std::size_t>(m * p), 1.0);
+    std::vector<double> y;
+    const double n = static_cast<double>(m * p);
+    const double gflops = best_rate(2.0 * n * n, [&] { op.apply(x, y); });
+    const std::string shape = "m" + std::to_string(m) + "_p" + std::to_string(p);
+    report.metric("matvec_direct_" + shape + "_gflops", gflops);
+    table.row({std::string("matvec direct"), shape, gflops});
+  }
+  table.precision(4);
+  report.add_table(table);
 }
 
 }  // namespace
@@ -273,6 +323,7 @@ int main(int argc, char** argv) {
   const double modeled = run_kernel_sweep(report);
   const double counted = static_cast<double>(util::FlopCounter::now() - flops0);
   report.metric("sweep_model_ratio", modeled > 0 ? counted / modeled : 0.0);
+  run_memory_sweep(report);
   obs.finish(report);
   obs.write_default_json(report, "BENCH_kernels.json");
   return 0;

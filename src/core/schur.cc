@@ -1,11 +1,11 @@
 #include "core/schur.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
 #include "core/flop_model.h"
+#include "util/cli.h"
 #include "util/fault.h"
 #include "util/flops.h"
 #include "util/metrics.h"
@@ -54,16 +54,9 @@ std::string breakdown_message(index_t step, index_t column, double hnorm) {
 
 // Minimum flops a parallel chunk must carry: below this, pool dispatch and
 // per-chunk span overhead outweigh the arithmetic.  Overridable via
-// BST_SCHUR_GRAIN_FLOPS for chunking experiments.
+// BST_SCHUR_GRAIN_FLOPS (> 0, parsed whole) for chunking experiments.
 double chunk_grain_flops() {
-  static const double grain = [] {
-    if (const char* s = std::getenv("BST_SCHUR_GRAIN_FLOPS")) {
-      char* end = nullptr;
-      const double v = std::strtod(s, &end);
-      if (end != s && v > 0.0) return v;
-    }
-    return 1e5;
-  }();
+  static const double grain = util::env_positive("BST_SCHUR_GRAIN_FLOPS", 1e5);
   return grain;
 }
 

@@ -449,32 +449,34 @@ void gemm_accum(Op ta, Op tb, double alpha, CView a, CView b, View c) {
 // ----- triangular helpers (no charging) -------------------------------------
 
 // op(T) x = b in place; the loops of the public trsv without its charges.
+// Every case walks columns of T, stride 1.  Without a transpose the sweep
+// is column-oriented: once x_j is final, x_j t[rest, j] is subtracted from
+// the entries still to solve.  Each x_i thus sees its terms in the order
+// the row-oriented substitution would subtract them for Lower (forward), so
+// that case is bitwise equal to it; Upper subtracts them last column first.
+// With a transpose, row j of op(T) is column j of T: a dot product.
 void trsv_engine(Uplo uplo, Op op, Diag diag, CView t, double* x) {
   const index_t n = t.rows();
+  const bool unit = (diag == Diag::Unit);
   const bool lower = (uplo == Uplo::Lower);
-  const bool trans = (op == Op::Trans);
-  if ((lower && !trans) || (!lower && trans)) {
-    // Forward substitution.
-    for (index_t i = 0; i < n; ++i) {
-      double s = x[i];
-      if (!trans) {
-        for (index_t l = 0; l < i; ++l) s -= t(i, l) * x[l];
-      } else {
-        for (index_t l = 0; l < i; ++l) s -= t(l, i) * x[l];
-      }
-      x[i] = (diag == Diag::NonUnit) ? s / t(i, i) : s;
+  if (op == Op::None) {
+    for (index_t k = 0; k < n; ++k) {
+      const index_t j = lower ? k : n - 1 - k;
+      const double* tj = t.col(j);
+      if (!unit) x[j] /= tj[j];
+      const double xj = x[j];
+      const index_t i0 = lower ? j + 1 : 0, i1 = lower ? n : j;
+      for (index_t i = i0; i < i1; ++i) x[i] -= tj[i] * xj;
     }
-  } else {
-    // Backward substitution.
-    for (index_t i = n - 1; i >= 0; --i) {
-      double s = x[i];
-      if (!trans) {
-        for (index_t l = i + 1; l < n; ++l) s -= t(i, l) * x[l];
-      } else {
-        for (index_t l = i + 1; l < n; ++l) s -= t(l, i) * x[l];
-      }
-      x[i] = (diag == Diag::NonUnit) ? s / t(i, i) : s;
-    }
+    return;
+  }
+  for (index_t k = 0; k < n; ++k) {
+    const index_t j = lower ? n - 1 - k : k;
+    const double* tj = t.col(j);
+    const index_t l0 = lower ? j + 1 : 0, l1 = lower ? n : j;
+    double s = x[j];
+    for (index_t l = l0; l < l1; ++l) s -= tj[l] * x[l];
+    x[j] = unit ? s : s / tj[j];
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+#include "util/cli.h"
 
 namespace bst::la {
 namespace {
@@ -12,12 +16,7 @@ index_t round_to(index_t v, index_t unit) {
 }
 
 index_t env_index(const char* name, index_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || v <= 0) return fallback;
-  return static_cast<index_t>(v);
+  return static_cast<index_t>(util::env_positive<long>(name, static_cast<long>(fallback)));
 }
 
 KernelConfig& active_slot() {
@@ -35,7 +34,11 @@ KernelConfig KernelConfig::from_env(KernelConfig base) {
   base.pack_min_m = env_index("BST_KERNEL_PACK_MIN_M", base.pack_min_m);
   base.parallel_min_flops = env_index("BST_KERNEL_PAR_MIN_FLOPS", base.parallel_min_flops);
   if (const char* s = std::getenv("BST_KERNEL_SIMD"); s != nullptr && *s != '\0') {
-    base.simd = !(s[0] == '0' && s[1] == '\0');
+    const std::string v(s);
+    if (v != "0" && v != "1") {
+      throw std::runtime_error("BST_KERNEL_SIMD: expected 0 or 1, got '" + v + "'");
+    }
+    base.simd = (v == "1");
   }
   // Keep the invariants the packing code relies on.
   base.mc = round_to(base.mc, kMicroRows);

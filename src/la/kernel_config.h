@@ -59,8 +59,10 @@ struct KernelConfig {
   static KernelConfig defaults() { return KernelConfig{}; }
 
   /// Applies BST_KERNEL_{MC,KC,NC,PACK_MIN_FLOPS,PACK_MIN_M,PAR_MIN_FLOPS,
-  /// SIMD} environment overrides on top of `base`.  Invalid or non-positive
-  /// values are ignored (BST_KERNEL_SIMD=0 disables the SIMD path).
+  /// SIMD} environment overrides on top of `base`.  The sizes are parsed
+  /// whole (util::parse_number) and must be > 0; BST_KERNEL_SIMD takes 0 or
+  /// 1.  An empty value means unset; any other bad value throws
+  /// std::runtime_error naming the variable.
   static KernelConfig from_env(KernelConfig base);
 
   /// Derives blocking from measured cache capacities (KiB; pass 0 for

@@ -7,8 +7,13 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdlib>
+#include <cstring>
 #include <initializer_list>
-#include <vector>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 namespace bst::la {
 
@@ -19,20 +24,27 @@ class MatrixView;
 template <typename T>
 class ConstMatrixView;
 
-/// Owning dense column-major matrix.
+/// Owning dense column-major matrix, zero-initialized.
+///
+/// The storage comes from calloc, so construction writes nothing: a large
+/// block arrives from the kernel as fresh zero pages, and pages the program
+/// never touches (the lower triangle of a Schur factor) never become
+/// resident.  calloc clears reused heap memory itself, which keeps every
+/// new Matrix zero; there is deliberately no in-place resize that could
+/// hand back stale contents.
 template <typename T>
 class Matrix {
+  static_assert(std::is_trivially_copyable_v<T>, "Matrix storage is raw memory");
+
  public:
   Matrix() = default;
-  Matrix(index_t rows, index_t cols)
-      : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows * cols)) {
+  Matrix(index_t rows, index_t cols) : rows_(rows), cols_(cols), data_(allocate(size(), true)) {
     assert(rows >= 0 && cols >= 0);
   }
   /// Builds from row-major nested initializer lists (test convenience).
-  Matrix(std::initializer_list<std::initializer_list<T>> init) {
-    rows_ = static_cast<index_t>(init.size());
-    cols_ = rows_ == 0 ? 0 : static_cast<index_t>(init.begin()->size());
-    data_.assign(static_cast<std::size_t>(rows_ * cols_), T{});
+  Matrix(std::initializer_list<std::initializer_list<T>> init)
+      : Matrix(static_cast<index_t>(init.size()),
+               init.size() == 0 ? 0 : static_cast<index_t>(init.begin()->size())) {
     index_t i = 0;
     for (const auto& r : init) {
       assert(static_cast<index_t>(r.size()) == cols_);
@@ -41,12 +53,25 @@ class Matrix {
       ++i;
     }
   }
+  Matrix(const Matrix& o) : rows_(o.rows_), cols_(o.cols_), data_(allocate(size(), false)) {
+    if (size() > 0) std::memcpy(data(), o.data(), size() * sizeof(T));
+  }
+  Matrix(Matrix&& o) noexcept
+      : rows_(std::exchange(o.rows_, 0)),
+        cols_(std::exchange(o.cols_, 0)),
+        data_(std::move(o.data_)) {}
+  Matrix& operator=(Matrix o) noexcept {
+    std::swap(rows_, o.rows_);
+    std::swap(cols_, o.cols_);
+    std::swap(data_, o.data_);
+    return *this;
+  }
 
   [[nodiscard]] index_t rows() const noexcept { return rows_; }
   [[nodiscard]] index_t cols() const noexcept { return cols_; }
   [[nodiscard]] index_t ld() const noexcept { return rows_; }
-  [[nodiscard]] T* data() noexcept { return data_.data(); }
-  [[nodiscard]] const T* data() const noexcept { return data_.data(); }
+  [[nodiscard]] T* data() noexcept { return data_.get(); }
+  [[nodiscard]] const T* data() const noexcept { return data_.get(); }
 
   T& operator()(index_t i, index_t j) noexcept {
     assert(i >= 0 && i < rows_ && j >= 0 && j < cols_);
@@ -57,8 +82,6 @@ class Matrix {
     return data_[static_cast<std::size_t>(j * rows_ + i)];
   }
 
-  void set_zero() { data_.assign(data_.size(), T{}); }
-
   /// Whole-matrix mutable/const views.
   MatrixView<T> view() noexcept;
   ConstMatrixView<T> view() const noexcept;
@@ -67,8 +90,24 @@ class Matrix {
   ConstMatrixView<T> block(index_t i0, index_t j0, index_t r, index_t c) const noexcept;
 
  private:
+  struct Free {
+    void operator()(T* p) const noexcept { std::free(p); }
+  };
+  using Storage = std::unique_ptr<T[], Free>;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(rows_) * static_cast<std::size_t>(cols_);
+  }
+  // calloc for fresh (zeroed) storage, malloc for storage a copy fills.
+  static Storage allocate(std::size_t count, bool zeroed) {
+    if (count == 0) return nullptr;
+    void* p = zeroed ? std::calloc(count, sizeof(T)) : std::malloc(count * sizeof(T));
+    if (p == nullptr) throw std::bad_alloc();
+    return Storage(static_cast<T*>(p));
+  }
+
   index_t rows_ = 0, cols_ = 0;
-  std::vector<T> data_;
+  Storage data_;
 };
 
 /// Non-owning mutable column-major view.

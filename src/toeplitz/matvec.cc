@@ -39,20 +39,22 @@ void MatVec::apply(la::CView x, la::View y) const {
   }
 }
 
+// Block (i, j) of T is T_{j-i+1} above the diagonal and T_{i-j+1}^T below
+// it, so with x and y viewed as m x p matrices (one block per column) every
+// block diagonal d is two gemms over p - d columns: 2p - 1 calls in all,
+// 2n^2 flops as the blockwise product.
 void MatVec::apply_direct(const double* x, double* y) const {
   const la::index_t m = t_.block_size();
   const la::index_t p = t_.num_blocks();
-  for (la::index_t i = 0; i < t_.order(); ++i) y[i] = 0.0;
-  for (la::index_t bi = 0; bi < p; ++bi) {
-    double* yi = y + bi * m;
-    for (la::index_t bj = 0; bj < p; ++bj) {
-      const double* xj = x + bj * m;
-      if (bj >= bi) {
-        la::gemv(/*trans=*/false, 1.0, t_.block(bj - bi + 1), xj, 1.0, yi);
-      } else {
-        la::gemv(/*trans=*/true, 1.0, t_.block(bi - bj + 1), xj, 1.0, yi);
-      }
-    }
+  const la::CView xs(x, m, p, m);
+  const la::View ys(y, m, p, m);
+  la::gemm(la::Op::None, la::Op::None, 1.0, t_.block(1), xs, 0.0, ys);
+  for (la::index_t d = 1; d < p; ++d) {
+    const la::CView td = t_.block(d + 1);
+    la::gemm(la::Op::None, la::Op::None, 1.0, td, xs.block(0, d, m, p - d), 1.0,
+             ys.block(0, 0, m, p - d));
+    la::gemm(la::Op::Trans, la::Op::None, 1.0, td, xs.block(0, 0, m, p - d), 1.0,
+             ys.block(0, d, m, p - d));
   }
 }
 

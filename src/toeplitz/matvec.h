@@ -2,7 +2,8 @@
 //
 // Iterative refinement (paper section 8) needs residuals r = b - T x against
 // the *exact* structured matrix.  Two evaluators are provided:
-//   * Direct:  block-wise gemv, O(p^2 m^2) per product, no setup cost.
+//   * Direct:  one gemm per block diagonal and side (2p - 1 calls),
+//              2 n^2 flops per product, no setup cost.
 //   * Fft:     block-circulant embedding (toeplitz/fft.h), O(m^2 P log P)
 //              per product after O(m^2 P log P) setup; the spectra are
 //              cached once per operator and shared by every residual,

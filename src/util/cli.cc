@@ -28,6 +28,20 @@ T parse_number(const std::string& what, const std::string& text) {
 template long parse_number<long>(const std::string&, const std::string&);
 template double parse_number<double>(const std::string&, const std::string&);
 
+template <typename T>
+T env_positive(const char* name, T fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return fallback;
+  const T v = parse_number<T>(name, s);
+  if (!(v > 0)) {
+    throw std::runtime_error(std::string(name) + ": expected a value > 0, got '" + s + "'");
+  }
+  return v;
+}
+
+template long env_positive<long>(const char*, long);
+template double env_positive<double>(const char*, double);
+
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];

@@ -14,6 +14,12 @@ namespace bst::util {
 template <typename T>
 T parse_number(const std::string& what, const std::string& text);
 
+/// Reads the environment variable `name` with parse_number and requires a
+/// value > 0.  Unset or empty returns `fallback`; anything else throws
+/// std::runtime_error naming the variable.
+template <typename T>
+T env_positive(const char* name, T fallback);
+
 /// Parses arguments of the form --key=value (or bare --flag => "1").
 /// Unrecognized positional arguments are ignored.
 class Cli {

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -396,6 +398,80 @@ TEST(KernelCounts, SyrkAndTrsmClosedForm) {
                        static_cast<std::uint64_t>(16 * n * cols));
 }
 
+// Row-oriented substitution for Lower/None, the order make_generator_spd's
+// trsm diagonal blocks have always used: x_i = (b_i - sum_{l<i} t_il x_l)
+// / t_ii, terms subtracted in increasing l.
+void trsv_lower_rows(Diag diag, CView t, double* x) {
+  for (index_t i = 0; i < t.rows(); ++i) {
+    double s = x[i];
+    for (index_t l = 0; l < i; ++l) s -= t(i, l) * x[l];
+    x[i] = (diag == Diag::Unit) ? s : s / t(i, i);
+  }
+}
+
+TEST(KernelTrsv, AllCombosResidual) {
+  util::Rng rng(7);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (const index_t n : {1, 2, 7, 64, 65, 513}) {
+    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      const Mat dense = make_triangular(n, uplo, rng);
+      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        // Strided storage (ld = n + 3) with NaN in the padding, in the
+        // other triangle and, for Unit, on the diagonal: a solve that reads
+        // any of them returns NaN.
+        Mat store(n + 3, n);
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < n + 3; ++i) store(i, j) = nan;
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < n; ++i) {
+            const bool keep = (uplo == Uplo::Lower) ? (i > j) : (i < j);
+            if (keep || (i == j && diag == Diag::NonUnit)) store(i, j) = dense(i, j);
+          }
+        const CView t = store.block(0, 0, n, n);
+        // op(T) with its effective diagonal, for the residual.
+        const auto teff = [&](Op op, index_t i, index_t l) {
+          const index_t r = (op == Op::None) ? i : l, c = (op == Op::None) ? l : i;
+          if (r == c) return diag == Diag::Unit ? 1.0 : dense(r, c);
+          return dense(r, c);
+        };
+        for (const Op op : {Op::None, Op::Trans}) {
+          std::vector<double> b(static_cast<std::size_t>(n));
+          for (double& v : b) v = rng.uniform(-1.0, 1.0);
+          std::vector<double> x = b;
+          std::uint64_t bytes = 0;
+          const std::uint64_t flops =
+              flops_of([&] { trsv(uplo, op, diag, t, x.data()); }, &bytes);
+          EXPECT_EQ(flops, static_cast<std::uint64_t>(n * n));
+          EXPECT_EQ(bytes, static_cast<std::uint64_t>(8 * (n * (n + 1) / 2 + 2 * n)));
+          double max_r = 0.0, norm_t = 0.0, norm_x = 0.0;
+          for (index_t i = 0; i < n; ++i) {
+            double s = -b[static_cast<std::size_t>(i)], row = 0.0;
+            for (index_t l = 0; l < n; ++l) {
+              s += teff(op, i, l) * x[static_cast<std::size_t>(l)];
+              row += std::fabs(teff(op, i, l));
+            }
+            max_r = std::max(max_r, std::fabs(s));  // NaN fails the bound below
+            norm_t = std::max(norm_t, row);
+            norm_x = std::max(norm_x, std::fabs(x[static_cast<std::size_t>(i)]));
+          }
+          const double bound = 4.0 * static_cast<double>(n) * eps * norm_t * norm_x;
+          ASSERT_TRUE(std::isfinite(max_r) && max_r <= bound)
+              << "trsv residual " << max_r << " > " << bound << ": uplo="
+              << static_cast<int>(uplo) << " op=" << static_cast<int>(op)
+              << " diag=" << static_cast<int>(diag) << " n=" << n;
+          if (uplo == Uplo::Lower && op == Op::None) {
+            std::vector<double> ref = b;
+            trsv_lower_rows(diag, dense.view(), ref.data());
+            ASSERT_EQ(std::memcmp(ref.data(), x.data(), x.size() * sizeof(double)), 0)
+                << "lower/none differs from the row-order substitution, n=" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelCounts, ThreadedEqualsSerialCharges) {
   // The same call, once with threading disabled and once with the threshold
   // at 1 (fans out whenever the pool has threads; on a 1-thread pool both
@@ -496,6 +572,44 @@ TEST(KernelConfigTest, EnvOverridesAndInvariants) {
   EXPECT_EQ(cfg.nc % kMicroCols, 0);
   EXPECT_EQ(cfg.nc, 96);
   EXPECT_FALSE(cfg.simd);
+
+  // Every knob is parsed whole: garbage, trailing characters and values
+  // <= 0 throw naming the variable; an empty value means unset.
+  // BST_KERNEL_SIMD is a switch and takes only 0 or 1.
+  const KernelConfig defaults = KernelConfig::defaults();
+  const KernelConfig baseline = KernelConfig::from_env(defaults);  // nothing set
+  const auto expect_rejected = [&](const char* name, const char* bad) {
+    setenv(name, bad, 1);
+    try {
+      (void)KernelConfig::from_env(defaults);
+      ADD_FAILURE() << name << "=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    unsetenv(name);
+  };
+  for (const char* name : {"BST_KERNEL_MC", "BST_KERNEL_KC", "BST_KERNEL_NC",
+                           "BST_KERNEL_PACK_MIN_FLOPS", "BST_KERNEL_PACK_MIN_M",
+                           "BST_KERNEL_PAR_MIN_FLOPS", "BST_KERNEL_SIMD"}) {
+    for (const char* bad : {"abc", "5x", "-1"}) expect_rejected(name, bad);
+    setenv(name, "", 1);
+    const KernelConfig unset = KernelConfig::from_env(defaults);
+    unsetenv(name);
+    EXPECT_EQ(unset.mc, baseline.mc) << name;
+    EXPECT_EQ(unset.kc, baseline.kc) << name;
+    EXPECT_EQ(unset.nc, baseline.nc) << name;
+    EXPECT_EQ(unset.pack_min_flops, baseline.pack_min_flops) << name;
+    EXPECT_EQ(unset.pack_min_m, baseline.pack_min_m) << name;
+    EXPECT_EQ(unset.parallel_min_flops, baseline.parallel_min_flops) << name;
+    EXPECT_EQ(unset.simd, baseline.simd) << name;
+  }
+  expect_rejected("BST_KERNEL_MC", "0");
+  for (const char* bad : {"2", "01", "true"}) expect_rejected("BST_KERNEL_SIMD", bad);
+  KernelConfig off = defaults;
+  off.simd = false;
+  setenv("BST_KERNEL_SIMD", "1", 1);
+  EXPECT_TRUE(KernelConfig::from_env(off).simd);
+  unsetenv("BST_KERNEL_SIMD");
 }
 
 TEST(KernelConfigTest, TunedClampsAndRounds) {

@@ -1,6 +1,9 @@
 // Tests for the Matrix / view layer.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "la/matrix.h"
 #include "la/norms.h"
 
@@ -55,6 +58,64 @@ TEST(Matrix, CopyAndSetZero) {
   EXPECT_DOUBLE_EQ(max_diff(a.view(), b.view()), 0.0);
   set_zero(b.view());
   EXPECT_DOUBLE_EQ(max_abs(b.view()), 0.0);
+}
+
+// A new Mat is all zero even when the allocator recycles memory an earlier
+// Mat of the same size dirtied: 4 KB comes from the heap free lists, 1 MB
+// and 64 MB sit on either side of glibc's dynamic mmap threshold.
+TEST(Matrix, ZeroAfterRecycledDirtyMemory) {
+  for (const std::size_t bytes : {std::size_t{4} << 10, std::size_t{1} << 20,
+                                  std::size_t{64} << 20}) {
+    const index_t rows = 64;
+    const auto cols = static_cast<index_t>(bytes / sizeof(double)) / rows;
+    for (int round = 0; round < 3; ++round) {
+      {
+        Mat dirty(rows, cols);
+        std::memset(dirty.data(), 0xA5, bytes);
+      }
+      const Mat fresh(rows, cols);
+      const auto* words = reinterpret_cast<const unsigned char*>(fresh.data());
+      std::size_t nonzero = 0;
+      for (std::size_t i = 0; i < bytes; ++i) nonzero += (words[i] != 0);
+      ASSERT_EQ(nonzero, 0u) << bytes << " bytes, round " << round;
+    }
+  }
+}
+
+TEST(Matrix, CopyAndMoveKeepContents) {
+  Mat a(5, 3);
+  for (index_t j = 0; j < 3; ++j)
+    for (index_t i = 0; i < 5; ++i) a(i, j) = static_cast<double>(10 * i + j);
+  const auto same_as_a = [&](const Mat& m) {
+    if (m.rows() != 5 || m.cols() != 3) return false;
+    for (index_t j = 0; j < 3; ++j)
+      for (index_t i = 0; i < 5; ++i)
+        if (m(i, j) != static_cast<double>(10 * i + j)) return false;
+    return true;
+  };
+  Mat copied(a);
+  Mat assigned(2, 2);
+  assigned = a;
+  EXPECT_TRUE(same_as_a(copied));
+  EXPECT_TRUE(same_as_a(assigned));
+  EXPECT_NE(copied.data(), a.data());
+  a(0, 0) = -1.0;  // copies own their storage
+  EXPECT_TRUE(same_as_a(copied));
+  a(0, 0) = 0.0;
+
+  const double* storage = copied.data();
+  Mat moved(std::move(copied));
+  EXPECT_TRUE(same_as_a(moved));
+  EXPECT_EQ(moved.data(), storage);  // a move hands the storage over
+  Mat move_assigned(4, 4);
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(same_as_a(move_assigned));
+  EXPECT_EQ(move_assigned.data(), storage);
+
+  Mat empty;
+  Mat empty_copy(empty);
+  EXPECT_EQ(empty_copy.rows(), 0);
+  EXPECT_EQ(empty_copy.cols(), 0);
 }
 
 TEST(Matrix, IdentityAndTranspose) {

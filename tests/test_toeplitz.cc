@@ -9,6 +9,7 @@
 #include "toeplitz/block_toeplitz.h"
 #include "toeplitz/generators.h"
 #include "toeplitz/matvec.h"
+#include "util/flops.h"
 #include "util/rng.h"
 
 namespace bst::toeplitz {
@@ -112,6 +113,63 @@ TEST(MatVec, DirectMatchesDense) {
   for (la::index_t i = 0; i < n; ++i)
     EXPECT_NEAR(y[static_cast<std::size_t>(i)], expect[static_cast<std::size_t>(i)], 1e-12);
 }
+
+// Direct MatVec against a long-double dense product T x, one column and a
+// strided three-column batch, over scalar to 16 x 16 blocks and 1 to 64
+// blocks.  Every block of the first row is random (T_1 symmetrized), so
+// each block diagonal's gemm pair is exercised; each product charges
+// exactly 2 n^2 flops.
+class MatVecDirectSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MatVecDirectSweep, MatchesDenseAndCharges2N2) {
+  const auto [m, p] = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(1000 * m + p));
+  la::Mat row(m, m * p);
+  for (la::index_t j = 0; j < m * p; ++j)
+    for (la::index_t i = 0; i < m; ++i) row(i, j) = rng.uniform(-1, 1);
+  for (la::index_t j = 0; j < m; ++j)
+    for (la::index_t i = 0; i < j; ++i) row(i, j) = row(j, i);
+  const BlockToeplitz t(m, row);
+  const la::index_t n = t.order();
+  const la::Mat d = t.dense();
+  const MatVec op(t, MatVecMode::Direct);
+  const la::index_t k = 3;
+  la::Mat xs(n + 2, k), ys(n + 1, k);
+  for (la::index_t j = 0; j < k; ++j)
+    for (la::index_t i = 0; i < n; ++i) xs(i, j) = rng.uniform(-1, 1);
+  const la::CView x = xs.block(0, 0, n, k);
+  const la::View y = ys.block(0, 0, n, k);
+
+  const auto check_column = [&](const double* got, la::index_t j) {
+    double max_err = 0.0, scale = 0.0;
+    for (la::index_t i = 0; i < n; ++i) {
+      long double s = 0.0L, mag = 0.0L;
+      for (la::index_t l = 0; l < n; ++l) {
+        s += static_cast<long double>(d(i, l)) * x(l, j);
+        mag += std::fabs(static_cast<long double>(d(i, l)) * x(l, j));
+      }
+      max_err = std::max(max_err, std::fabs(got[i] - static_cast<double>(s)));
+      scale = std::max(scale, static_cast<double>(mag));
+    }
+    EXPECT_LE(max_err, 1e-14 * scale) << "m=" << m << " p=" << p << " column " << j;
+  };
+
+  const std::vector<double> x0(x.col(0), x.col(0) + n);
+  std::vector<double> y0;
+  util::FlopScope one;
+  op.apply(x0, y0);
+  EXPECT_EQ(one.elapsed(), static_cast<std::uint64_t>(2 * n * n));
+  check_column(y0.data(), 0);
+
+  util::FlopScope batch;
+  op.apply(x, y);
+  EXPECT_EQ(batch.elapsed(), static_cast<std::uint64_t>(2 * n * n * k));
+  for (la::index_t j = 0; j < k; ++j) check_column(y.col(j), j);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, MatVecDirectSweep,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 16),
+                                            ::testing::Values(1, 2, 7, 64)));
 
 class MatVecFftSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

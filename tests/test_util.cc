@@ -156,6 +156,29 @@ TEST(ParseNumber, NamesTheSourceAndRejectsPartialValues) {
   }
 }
 
+TEST(EnvPositive, ParsesWholeRejectsNonPositiveAndTreatsEmptyAsUnset) {
+  const char* var = "BST_SCHUR_GRAIN_FLOPS";
+  unsetenv(var);
+  EXPECT_DOUBLE_EQ(env_positive(var, 1e5), 1e5);
+  setenv(var, "", 1);
+  EXPECT_DOUBLE_EQ(env_positive(var, 1e5), 1e5);
+  setenv(var, "2.5e4", 1);
+  EXPECT_DOUBLE_EQ(env_positive(var, 1e5), 2.5e4);
+  setenv(var, "7", 1);
+  EXPECT_EQ(env_positive(var, 3L), 7);
+  for (const char* bad : {"abc", "5x", "-1", "0"}) {
+    setenv(var, bad, 1);
+    try {
+      (void)env_positive(var, 1e5);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    EXPECT_THROW((void)env_positive(var, 3L), std::runtime_error) << bad;
+  }
+  unsetenv(var);
+}
+
 TEST(Cli, RejectsNonNumericValues) {
   const char* argv[] = {"prog", "--n=abc", "--rate=fast"};
   Cli cli(3, const_cast<char**>(argv));
