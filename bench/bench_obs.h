@@ -24,13 +24,13 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "util/attainment.h"
 #include "util/calibrate.h"
 #include "util/cli.h"
+#include "util/env.h"
 #include "util/flight_recorder.h"
 #include "util/ledger.h"
 #include "util/prof.h"
@@ -48,9 +48,7 @@ class Obs {
         ledger_(cli.get("ledger", "")),
         json_flag_(cli.get("json", "")) {
     std::string cal_path = cli.get("calibration", "");
-    if (cal_path.empty()) {
-      if (const char* env = std::getenv("BST_CALIBRATION"); env != nullptr) cal_path = env;
-    }
+    if (cal_path.empty()) util::env::read("BST_CALIBRATION", cal_path);
     if (!cal_path.empty()) load_calibration(cal_path);
     // --prof / BST_PROF arms the hardware-truth profiler (util/prof): PMU
     // counter groups at span boundaries plus the SIGPROF sampler.  It
@@ -131,12 +129,10 @@ class Obs {
   /// the environment variable is set, else <default_name> in the CWD.
   [[nodiscard]] std::string json_path(const std::string& default_name) const {
     if (!json_flag_.empty()) return json_flag_ == "none" ? std::string() : json_flag_;
-    if (const char* dir = std::getenv("BST_BENCH_OUT"); dir != nullptr && dir[0] != '\0') {
-      std::string path(dir);
-      if (path.back() != '/') path.push_back('/');
-      return path + default_name;
-    }
-    return default_name;
+    std::string path;
+    if (!util::env::read("BST_BENCH_OUT", path)) return default_name;
+    if (path.back() != '/') path.push_back('/');
+    return path + default_name;
   }
 
   /// Writes the report to json_path(default_name) unless suppressed.

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "la/condest.h"
 #include "la/norms.h"
-#include "util/cli.h"
+#include "util/env.h"
 #include "util/fault.h"
 #include "util/flops.h"
 #include "util/metrics.h"
@@ -149,12 +148,8 @@ void CirculantPreconditioner::apply_inverse(const std::vector<double>& r,
 }
 
 PcgOptions PcgOptions::from_env(PcgOptions base) {
-  if (const char* s = std::getenv("BST_PCG_TOL"); s != nullptr && *s != '\0') {
-    base.tol = util::parse_number<double>("BST_PCG_TOL", s);
-  }
-  if (const char* s = std::getenv("BST_PCG_MAXIT"); s != nullptr && *s != '\0') {
-    base.max_iters = static_cast<int>(std::max(1L, util::parse_number<long>("BST_PCG_MAXIT", s)));
-  }
+  util::env::read("BST_PCG_TOL", base.tol);
+  util::env::read("BST_PCG_MAXIT", base.max_iters);
   return base;
 }
 

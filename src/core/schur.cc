@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "core/flop_model.h"
-#include "util/cli.h"
+#include "util/env.h"
 #include "util/fault.h"
 #include "util/flops.h"
 #include "util/metrics.h"
@@ -54,9 +54,13 @@ std::string breakdown_message(index_t step, index_t column, double hnorm) {
 
 // Minimum flops a parallel chunk must carry: below this, pool dispatch and
 // per-chunk span overhead outweigh the arithmetic.  Overridable via
-// BST_SCHUR_GRAIN_FLOPS (> 0, parsed whole) for chunking experiments.
+// BST_SCHUR_GRAIN_FLOPS (> 0) for chunking experiments.
 double chunk_grain_flops() {
-  static const double grain = util::env_positive("BST_SCHUR_GRAIN_FLOPS", 1e5);
+  static const double grain = [] {
+    double g = 1e5;
+    util::env::read("BST_SCHUR_GRAIN_FLOPS", g);
+    return g;
+  }();
   return grain;
 }
 

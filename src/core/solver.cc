@@ -1,11 +1,10 @@
 #include "core/solver.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/solve.h"
 #include "la/norms.h"
-#include "util/cli.h"
+#include "util/env.h"
 #include "util/watchdog.h"
 
 namespace bst::core {
@@ -37,15 +36,9 @@ SolverKind parse_solver_kind(const std::string& s) {
 }
 
 SolverPolicy SolverPolicy::from_env(SolverPolicy base) {
-  if (const char* s = std::getenv("BST_SOLVER"); s != nullptr && *s != '\0') {
-    base.kind = parse_solver_kind(s);
-  }
-  if (const char* s = std::getenv("BST_SOLVER_MIN_N"); s != nullptr && *s != '\0') {
-    base.pcg_min_n = static_cast<la::index_t>(util::parse_number<long>("BST_SOLVER_MIN_N", s));
-  }
-  if (const char* s = std::getenv("BST_SOLVER_MAX_COND"); s != nullptr && *s != '\0') {
-    base.pcg_max_cond = util::parse_number<double>("BST_SOLVER_MAX_COND", s);
-  }
+  if (std::string kind; util::env::read("BST_SOLVER", kind)) base.kind = parse_solver_kind(kind);
+  util::env::read("BST_SOLVER_MIN_N", base.pcg_min_n);
+  util::env::read("BST_SOLVER_MAX_COND", base.pcg_max_cond);
   return base;
 }
 

@@ -1,11 +1,8 @@
 #include "la/kernel_config.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 
-#include "util/cli.h"
+#include "util/env.h"
 
 namespace bst::la {
 namespace {
@@ -13,10 +10,6 @@ namespace {
 // Rounds `v` down to a positive multiple of `unit`.
 index_t round_to(index_t v, index_t unit) {
   return std::max(unit, (v / unit) * unit);
-}
-
-index_t env_index(const char* name, index_t fallback) {
-  return static_cast<index_t>(util::env_positive<long>(name, static_cast<long>(fallback)));
 }
 
 KernelConfig& active_slot() {
@@ -27,19 +20,13 @@ KernelConfig& active_slot() {
 }  // namespace
 
 KernelConfig KernelConfig::from_env(KernelConfig base) {
-  base.mc = env_index("BST_KERNEL_MC", base.mc);
-  base.kc = env_index("BST_KERNEL_KC", base.kc);
-  base.nc = env_index("BST_KERNEL_NC", base.nc);
-  base.pack_min_flops = env_index("BST_KERNEL_PACK_MIN_FLOPS", base.pack_min_flops);
-  base.pack_min_m = env_index("BST_KERNEL_PACK_MIN_M", base.pack_min_m);
-  base.parallel_min_flops = env_index("BST_KERNEL_PAR_MIN_FLOPS", base.parallel_min_flops);
-  if (const char* s = std::getenv("BST_KERNEL_SIMD"); s != nullptr && *s != '\0') {
-    const std::string v(s);
-    if (v != "0" && v != "1") {
-      throw std::runtime_error("BST_KERNEL_SIMD: expected 0 or 1, got '" + v + "'");
-    }
-    base.simd = (v == "1");
-  }
+  util::env::read("BST_KERNEL_MC", base.mc);
+  util::env::read("BST_KERNEL_KC", base.kc);
+  util::env::read("BST_KERNEL_NC", base.nc);
+  util::env::read("BST_KERNEL_PACK_MIN_FLOPS", base.pack_min_flops);
+  util::env::read("BST_KERNEL_PACK_MIN_M", base.pack_min_m);
+  util::env::read("BST_KERNEL_PAR_MIN_FLOPS", base.parallel_min_flops);
+  util::env::read("BST_KERNEL_SIMD", base.simd);
   // Keep the invariants the packing code relies on.
   base.mc = round_to(base.mc, kMicroRows);
   base.nc = round_to(base.nc, kMicroCols);

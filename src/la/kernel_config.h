@@ -58,11 +58,12 @@ struct KernelConfig {
   /// Compiled-in defaults (the values above).
   static KernelConfig defaults() { return KernelConfig{}; }
 
-  /// Applies BST_KERNEL_{MC,KC,NC,PACK_MIN_FLOPS,PACK_MIN_M,PAR_MIN_FLOPS,
-  /// SIMD} environment overrides on top of `base`.  The sizes are parsed
-  /// whole (util::parse_number) and must be > 0; BST_KERNEL_SIMD takes 0 or
-  /// 1.  An empty value means unset; any other bad value throws
-  /// std::runtime_error naming the variable.
+  /// Applies the BST_KERNEL_{MC,KC,NC,PACK_MIN_FLOPS,PACK_MIN_M,
+  /// PAR_MIN_FLOPS,SIMD} variables that are set on top of `base`, read
+  /// through util/env.h: the sizes are integers >= 1, BST_KERNEL_SIMD is a
+  /// 0/1 switch, and a bad value throws std::runtime_error naming the
+  /// variable.  mc and nc are then rounded down to tile multiples and kc
+  /// raised to at least 4, whatever their source.
   static KernelConfig from_env(KernelConfig base);
 
   /// Derives blocking from measured cache capacities (KiB; pass 0 for

@@ -1,57 +1,8 @@
 #include "la/triangular.h"
 
 #include <cmath>
-#include <vector>
-
-#include "util/flops.h"
 
 namespace bst::la {
-
-void trmm(TrSide side, TrUplo uplo, bool trans, double alpha, CView t, View b) {
-  const index_t m = b.rows(), n = b.cols();
-  const bool upper = (uplo == TrUplo::Upper);
-  // Effective triangular operand S = op(T); S upper <=> upper != trans ...
-  // keep it simple and correct: materialize per-column products.
-  if (side == TrSide::Left) {
-    assert(t.rows() == m && t.cols() == m);
-    std::vector<double> tmp(static_cast<std::size_t>(m));
-    for (index_t j = 0; j < n; ++j) {
-      double* bj = b.col(j);
-      for (index_t i = 0; i < m; ++i) {
-        double s = 0.0;
-        if (!trans) {
-          const index_t lo = upper ? i : 0;
-          const index_t hi = upper ? m : i + 1;
-          for (index_t l = lo; l < hi; ++l) s += t(i, l) * bj[l];
-        } else {
-          const index_t lo = upper ? 0 : i;
-          const index_t hi = upper ? i + 1 : m;
-          for (index_t l = lo; l < hi; ++l) s += t(l, i) * bj[l];
-        }
-        tmp[static_cast<std::size_t>(i)] = alpha * s;
-      }
-      for (index_t i = 0; i < m; ++i) bj[i] = tmp[static_cast<std::size_t>(i)];
-    }
-    util::FlopCounter::charge(static_cast<std::uint64_t>(m) * m * n);
-  } else {
-    assert(t.rows() == n && t.cols() == n);
-    Mat tmp(m, n);
-    for (index_t j = 0; j < n; ++j) {
-      double* out = tmp.view().col(j);
-      for (index_t l = 0; l < n; ++l) {
-        // S = op(T); B := alpha * B * S, so out_j = alpha * sum_l b_l S(l,j)
-        // with S(l,j) = T(j,l) when transposed.
-        const double tv = trans ? t(j, l) : t(l, j);
-        const bool in_triangle = trans ? (upper ? j <= l : j >= l) : (upper ? l <= j : l >= j);
-        if (!in_triangle || tv == 0.0) continue;
-        const double* bl = b.col(l);
-        for (index_t i = 0; i < m; ++i) out[i] += alpha * tv * bl[i];
-      }
-    }
-    copy(tmp.view(), b);
-    util::FlopCounter::charge(static_cast<std::uint64_t>(m) * n * n);
-  }
-}
 
 void keep_triangle(View a, bool keep_upper) {
   for (index_t j = 0; j < a.cols(); ++j) {

@@ -1,19 +1,9 @@
 // Triangular matrix helpers used by the factorization drivers.
 #pragma once
 
-#include <cstdint>
-
 #include "la/matrix.h"
 
 namespace bst::la {
-
-/// B := op(T) * B (Left) or B := B * op(T) (Right), T triangular.
-/// (A small trmm; the core algorithm uses it to form T_j = L1^{-T-}T_hat_j
-/// style products and in tests.)
-enum class TrSide : std::uint8_t { Left, Right };
-enum class TrUplo : std::uint8_t { Lower, Upper };
-
-void trmm(TrSide side, TrUplo uplo, bool trans, double alpha, CView t, View b);
 
 /// Zeroes the strict lower (keep_upper) or strict upper (otherwise) triangle.
 void keep_triangle(View a, bool keep_upper);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "core/solve.h"
 #include "util/crashbox.h"
+#include "util/env.h"
 #include "util/fault.h"
 #include "util/flight_recorder.h"
 #include "util/flops.h"
@@ -38,24 +38,6 @@ const util::GaugeId kBacklogAge = util::Metrics::gauge("service_backlog_age_ms")
 // where no profiled run is watching.
 const util::HistId kBatchHist = util::Metrics::histogram("service_batch_cols");
 const util::HistId kLatencyHist = util::Metrics::histogram("service_request_ns");
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return fallback;
-  return v;
-}
-
-double env_f64(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s) return fallback;
-  return v;
-}
 
 // Emits the request's three-phase timeline as a tiny "req:<id>" track.
 // The span `step` field carries cache hit (1) vs miss (0), so a trace
@@ -127,33 +109,28 @@ ServiceOptions sanitize(ServiceOptions o) {
 }  // namespace
 
 ServiceOptions ServiceOptions::from_env(ServiceOptions base) {
-  base.cache_bytes =
-      static_cast<std::size_t>(env_u64("BST_SERVICE_CACHE_BYTES", base.cache_bytes));
-  base.queue_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(env_u64("BST_SERVICE_QUEUE", base.queue_capacity)));
-  base.max_batch = std::max<index_t>(
-      1, static_cast<index_t>(env_u64("BST_SERVICE_BATCH",
-                                      static_cast<std::uint64_t>(base.max_batch))));
-  base.rhs_panel = std::max<index_t>(
-      1, static_cast<index_t>(env_u64("BST_SERVICE_PANEL",
-                                      static_cast<std::uint64_t>(base.rhs_panel))));
-  if (const char* s = std::getenv("BST_SERVICE_NOCACHE"); s != nullptr && *s != '\0') {
-    base.cache_enabled = (s[0] == '0' && s[1] == '\0');
+  util::env::read("BST_SERVICE_CACHE_BYTES", base.cache_bytes);
+  util::env::read("BST_SERVICE_QUEUE", base.queue_capacity);
+  util::env::read("BST_SERVICE_BATCH", base.max_batch);
+  util::env::read("BST_SERVICE_PANEL", base.rhs_panel);
+  if (bool nocache = false; util::env::read("BST_SERVICE_NOCACHE", nocache)) {
+    base.cache_enabled = !nocache;
   }
-  base.slow_ms = env_f64("BST_SERVICE_SLOW_MS", base.slow_ms);
-  base.trace_requests = env_u64("BST_SERVICE_TRACE_REQS", base.trace_requests);
-  base.refine_steps = std::max(
-      0, static_cast<int>(env_u64("BST_SERVICE_REFINE",
-                                  static_cast<std::uint64_t>(std::max(0, base.refine_steps)))));
+  util::env::read("BST_SERVICE_SLOW_MS", base.slow_ms);
+  util::env::read("BST_SERVICE_TRACE_REQS", base.trace_requests);
+  util::env::read("BST_SERVICE_REFINE", base.refine_steps);
   return base;
 }
 
-Service::Service(ServiceOptions opt)
-    : opt_(sanitize(opt)), cache_(opt_.cache_bytes), dispatcher_([this] { dispatcher_loop(); }) {
+Service::Service(ServiceOptions opt) : opt_(sanitize(opt)), cache_(opt_.cache_bytes) {
   // Env-gated no-ops unless BST_CRASH_DIR / BST_STALL_MS are set: a live
   // service is exactly the process whose last moments are worth keeping.
+  // Both read the environment and throw on a bad setting, so they run
+  // before the dispatcher exists: a constructor that throws must not leave
+  // a joinable thread behind.
   util::Crashbox::install();
   util::StallGuard::start_from_env();
+  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Service::~Service() {

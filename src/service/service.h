@@ -47,15 +47,16 @@
 // stats_json() returns the "service" report section bench_service emits
 // and bst_report pretty-prints.
 //
-// Environment knobs (all overridable via ServiceOptions::from_env):
-//   BST_SERVICE_CACHE_BYTES  factor-cache budget in bytes
-//   BST_SERVICE_QUEUE        admission queue capacity (requests)
-//   BST_SERVICE_BATCH        max same-key requests coalesced per dispatch
-//   BST_SERVICE_PANEL        RHS panel width of the blocked solves
-//   BST_SERVICE_NOCACHE      "1" disables the factor cache (baseline mode)
-//   BST_SERVICE_SLOW_MS      slow-request log threshold in ms (0 = off)
+// Environment knobs (ServiceOptions::from_env, read through util/env.h;
+// the accepted ranges are in docs/API.md):
+//   BST_SERVICE_CACHE_BYTES  factor-cache budget in bytes (>= 0)
+//   BST_SERVICE_QUEUE        admission queue capacity in requests (>= 1)
+//   BST_SERVICE_BATCH        max same-key requests coalesced per dispatch (>= 1)
+//   BST_SERVICE_PANEL        RHS panel width of the blocked solves (>= 1)
+//   BST_SERVICE_NOCACHE      1 disables the factor cache (baseline mode), 0 keeps it
+//   BST_SERVICE_SLOW_MS      slow-request log threshold in ms (>= 0; 0 = off)
 //   BST_SERVICE_TRACE_REQS   max requests that get "req:<id>" trace tracks
-//   BST_SERVICE_REFINE       iterative-refinement sweeps per solve (0 = off)
+//   BST_SERVICE_REFINE       iterative-refinement sweeps per solve (>= 0; 0 = off)
 //
 // Refinement (BST_SERVICE_REFINE / ServiceOptions::refine_steps): every
 // solve -- sync, batched, or dispatched -- is followed by that many sweeps
@@ -102,7 +103,9 @@ struct ServiceOptions {
   std::uint64_t trace_requests = 32;   // "req:<id>" tracks minted while tracing
   int refine_steps = 0;                // FFT-residual refinement sweeps (0 = off)
 
-  /// Applies BST_SERVICE_* environment overrides on top of `base`.
+  /// Applies the BST_SERVICE_* variables that are set on top of `base`; a
+  /// value outside its range (a panel of 0, a queue of -1) throws
+  /// std::runtime_error naming the variable (util/env.h).
   static ServiceOptions from_env(ServiceOptions base);
   static ServiceOptions from_env() { return from_env(ServiceOptions{}); }
 };

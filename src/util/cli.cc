@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -12,6 +14,7 @@ T parse_number(const std::string& what, const std::string& text) {
   constexpr bool integral = std::is_integral_v<T>;
   const char* s = text.c_str();
   char* end = nullptr;
+  errno = 0;
   T v{};
   if constexpr (integral) {
     v = std::strtol(s, &end, 10);
@@ -22,25 +25,17 @@ T parse_number(const std::string& what, const std::string& text) {
     throw std::runtime_error(what + ": expected " + (integral ? "an integer" : "a number") +
                              ", got '" + text + "'");
   }
+  // strtol saturates on overflow; strtod returns inf or nan as asked, and
+  // inf on overflow.
+  if (integral ? errno == ERANGE : !std::isfinite(static_cast<double>(v))) {
+    throw std::runtime_error(what + ": " + (integral ? "integer" : "number") +
+                             " out of range, got '" + text + "'");
+  }
   return v;
 }
 
 template long parse_number<long>(const std::string&, const std::string&);
 template double parse_number<double>(const std::string&, const std::string&);
-
-template <typename T>
-T env_positive(const char* name, T fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  const T v = parse_number<T>(name, s);
-  if (!(v > 0)) {
-    throw std::runtime_error(std::string(name) + ": expected a value > 0, got '" + s + "'");
-  }
-  return v;
-}
-
-template long env_positive<long>(const char*, long);
-template double env_positive<double>(const char*, double);
 
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {

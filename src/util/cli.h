@@ -6,19 +6,14 @@
 
 namespace bst::util {
 
-/// Parses all of `text` as a T (long or double).  An empty value or
-/// trailing garbage throws std::runtime_error naming `what` -- a flag such
-/// as "--np" or an environment variable such as "BST_PCG_TOL" -- instead of
-/// silently truncating to the leading digits.  The one numeric parser of
-/// both command lines and BST_* variables.
+/// Parses all of `text` as a T (long or double).  An empty value, trailing
+/// garbage, an integer outside long's range and a real that is not finite
+/// (`nan`, `inf`, `1e400`) throw std::runtime_error naming `what` -- a flag
+/// such as "--np" or an environment variable such as "BST_PCG_TOL" --
+/// instead of silently truncating or saturating.  The one numeric parser of
+/// both command lines and BST_* variables (util/env.h).
 template <typename T>
 T parse_number(const std::string& what, const std::string& text);
-
-/// Reads the environment variable `name` with parse_number and requires a
-/// value > 0.  Unset or empty returns `fallback`; anything else throws
-/// std::runtime_error naming the variable.
-template <typename T>
-T env_positive(const char* name, T fallback);
 
 /// Parses arguments of the form --key=value (or bare --flag => "1").
 /// Unrecognized positional arguments are ignored.
@@ -30,7 +25,8 @@ class Cli {
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
 
   /// Numeric accessors parse the *whole* value (parse_number): trailing
-  /// garbage (`--np=4x`, `--panel=8q`) throws naming the flag.
+  /// garbage (`--np=4x`, `--panel=8q`) and values a long or a finite double
+  /// cannot hold throw naming the flag.
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;

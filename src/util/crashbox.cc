@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "util/calibrate.h"
+#include "util/env.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
 
@@ -180,9 +181,8 @@ void write_name_table(int fd, const NameTable& t, const char* prefix,
 // ------------------------------------------------------------- public API
 
 bool Crashbox::install() {
-  const char* dir = std::getenv("BST_CRASH_DIR");
-  if (dir == nullptr || *dir == '\0') return false;
-  return install(dir);
+  std::string dir;
+  return env::read("BST_CRASH_DIR", dir) && install(dir.c_str());
 }
 
 bool Crashbox::install(const char* dir) {

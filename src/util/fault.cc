@@ -7,7 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <string>
 #include <thread>
+
+#include "util/env.h"
 
 namespace bst::util {
 namespace {
@@ -22,14 +26,6 @@ std::uint64_t g_hang_ms = 2000;
 std::uint64_t g_slow_ms = 50;
 std::atomic<std::uint64_t> g_hits{0};
 char g_describe[96];
-
-std::uint64_t env_ms(const char* name, std::uint64_t def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  return (end != nullptr && end != v) ? static_cast<std::uint64_t>(n) : def;
-}
 
 const char* kind_name(FaultKind k) {
   switch (k) {
@@ -70,9 +66,16 @@ void trigger(FaultKind kind) {
   }
 }
 
-// Parse at load time so fire() never has to check "parsed yet?".
+// Parse at load time so fire() never has to check "parsed yet?".  A bad
+// setting cannot throw past static initialization, so it ends the process
+// here with the reader's message.
 [[maybe_unused]] const bool g_parsed_at_load = [] {
-  Fault::reload();
+  try {
+    Fault::reload();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::_Exit(2);
+  }
   return true;
 }();
 
@@ -89,19 +92,21 @@ void Fault::reload() {
   g_count = 1;
   g_site[0] = '\0';
   g_describe[0] = '\0';
-  g_hang_ms = env_ms("BST_FAULT_HANG_MS", 2000);
-  g_slow_ms = env_ms("BST_FAULT_SLOW_MS", 50);
+  g_hang_ms = 2000;
+  g_slow_ms = 50;
+  env::read("BST_FAULT_HANG_MS", g_hang_ms);
+  env::read("BST_FAULT_SLOW_MS", g_slow_ms);
 
-  const char* spec = std::getenv("BST_FAULT");
-  if (spec == nullptr || *spec == '\0') return;
+  std::string spec;
+  if (!env::read("BST_FAULT", spec)) return;
 
   // <site>:<kind>[:<count>]
   char buf[96];
-  std::snprintf(buf, sizeof buf, "%s", spec);
+  std::snprintf(buf, sizeof buf, "%s", spec.c_str());
   char* kind_s = std::strchr(buf, ':');
   if (kind_s == nullptr) {
     std::fprintf(stderr, "[bst_fault] malformed BST_FAULT '%s' (want site:kind[:count])\n",
-                 spec);
+                 spec.c_str());
     return;
   }
   *kind_s++ = '\0';

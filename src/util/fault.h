@@ -35,8 +35,10 @@ class Fault {
   /// (crash/fp-trap do not return).
   static void fire(const char* site) noexcept;
 
-  /// Re-parses BST_FAULT / BST_FAULT_*_MS from the environment.  Tests use
-  /// this after setenv(); death tests call it inside the forked child.
+  /// Re-parses BST_FAULT / BST_FAULT_*_MS from the environment (util/env.h;
+  /// a bad value throws std::runtime_error naming the variable, and at load
+  /// time ends the process with that message).  Tests use this after
+  /// setenv(); death tests call it inside the forked child.
   static void reload();
 
   /// "site:kind:count" of the armed fault, or "" when disarmed.

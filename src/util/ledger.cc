@@ -52,6 +52,8 @@ Json ledger_entry(const Json& report_doc) {
   } else {
     e.set("params_hash", Json::string(fnv1a_hex("{}")));
   }
+  // Beside params, not inside, so params_hash and the --trend grouping ignore it.
+  if (const Json* config = report_doc.find("config"); config != nullptr) e.set("config", *config);
   if (const Json* machine = report_doc.find("machine"); machine != nullptr) {
     if (const Json* fp = machine->find("fingerprint");
         fp != nullptr && fp->kind() == Json::Kind::String) {

@@ -8,7 +8,7 @@
 //
 //   {"utc":"2026-08-05T12:00:00Z","git":"<describe>","tool":"bst_solve",
 //    "machine":"<fingerprint>","params_hash":"a1b2...","params":{...},
-//    "phases":{"reflector_build":0.12,...},
+//    "config":{"BST_THREADS":"1",...},"phases":{"reflector_build":0.12,...},
 //    "attainment":{"reflector_apply":0.41,...},
 //    "metrics":{"time_s":0.5,"residual":1e-12,...},"warnings":0}
 //

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "util/env.h"
 #include "util/metrics.h"
 
 #if defined(__linux__)
@@ -603,20 +604,10 @@ const char* pmu_status_cstr() noexcept {
 
 ProfOptions ProfOptions::from_env() {
   ProfOptions o;
-  if (const char* v = std::getenv("BST_PROF"); v != nullptr && *v != '\0') {
-    o.armed_by_env = std::string(v) != "0";
-  }
-  if (const char* v = std::getenv("BST_PROF_PMU"); v != nullptr && *v != '\0') {
-    o.pmu = std::string(v) != "0";
-  }
-  if (const char* v = std::getenv("BST_PROF_HZ"); v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const unsigned long hz = std::strtoul(v, &end, 10);
-    if (end != v && *end == '\0' && hz <= 10000) o.sample_hz = hz;
-  }
-  if (const char* v = std::getenv("BST_PROF_OUT"); v != nullptr && *v != '\0') {
-    o.out_prefix = v;
-  }
+  env::read("BST_PROF", o.armed_by_env);
+  env::read("BST_PROF_PMU", o.pmu);
+  env::read("BST_PROF_HZ", o.sample_hz);
+  env::read("BST_PROF_OUT", o.out_prefix);
   return o;
 }
 

@@ -83,9 +83,11 @@ struct ProfOptions {
   std::uint64_t sample_hz = 197;   // SIGPROF rate; 0 = sampling off
   std::string out_prefix = "prof"; // artifacts: <prefix>.folded, <prefix>.samples.json
 
-  /// BST_PROF_PMU ("0" disables the PMU side), BST_PROF_HZ, BST_PROF_OUT.
-  /// BST_PROF itself ("1") is the whole-profiler arm switch the bench
-  /// harness and bst_solve honor; it lands in `armed_by_env`.
+  /// BST_PROF_PMU (switch; 0 disables the PMU side), BST_PROF_HZ (0 ..
+  /// 10000; 0 = sampling off), BST_PROF_OUT, read through util/env.h: a bad
+  /// value throws std::runtime_error naming the variable.  BST_PROF itself
+  /// (switch; 1 arms) is the whole-profiler arm switch the bench harness
+  /// and bst_solve honor; it lands in `armed_by_env`.
   static ProfOptions from_env();
   bool armed_by_env = false;
 };

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "util/calibrate.h"
+#include "util/env.h"
 #include "util/metrics.h"
 #include "util/prof.h"
 #include "util/trace.h"
@@ -514,6 +515,10 @@ Json PerfReport::build(bool include_tracer) const {
   root.set("schema_version", Json::number(static_cast<std::int64_t>(kReportSchemaVersion)));
   root.set("tool", Json::string(tool_));
   if (!params_.members().empty()) root.set("params", params_);
+  // The BST_* settings in effect (always present: {} means all defaults).
+  Json config = Json::object();
+  for (auto& [name, value] : env::in_effect()) config.set(name, Json::string(std::move(value)));
+  root.set("config", std::move(config));
 
   Json machine = Json::object();
   machine.set("hardware_concurrency",

@@ -8,6 +8,7 @@
 //     "schema_version": 1,
 //     "tool":    "<binary name>",
 //     "params":  { ... run parameters (n, m, rep, np, ...) },
+//     "config":  { "<BST_* name>": "<value>", ... },  (set variables; {} = none)
 //     "machine": { "hardware_concurrency": N, "pointer_bits": 64,
 //                  "cpu_model": "...", "fingerprint": "<fnv1a>" },
 //     "build":   { "compiler": "...", "build_type": "...", "flags": "...",
@@ -35,7 +36,8 @@
 // (log-bucketed latency/size distributions); "warnings" from the
 // numerical-health watchdog (util/watchdog.h); "threads" from the
 // ThreadPool worker stats; "comm" from the simulated Machine's per-PE
-// counters.  Empty sections are omitted.  docs/OBSERVABILITY.md documents
+// counters; "config" from util/env.h.  Empty sections are omitted, except
+// "config", whose {} records that every setting was at its default.  docs/OBSERVABILITY.md documents
 // the schema and its compatibility rules (additive changes only -- which is
 // why "histograms"/"warnings" did not bump schema_version; removals do).
 //

@@ -5,12 +5,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "util/crashbox.h"
+#include "util/env.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -87,14 +87,8 @@ std::uint64_t effective_poll_ms(const StallGuardOptions& opt) {
 
 StallGuardOptions StallGuardOptions::from_env() {
   StallGuardOptions opt;
-  if (const char* v = std::getenv("BST_STALL_MS"); v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != v) opt.stall_ms = static_cast<std::uint64_t>(n);
-  }
-  if (const char* v = std::getenv("BST_STALL_FATAL"); v != nullptr) {
-    opt.fatal = (std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0);
-  }
+  env::read("BST_STALL_MS", opt.stall_ms);
+  env::read("BST_STALL_FATAL", opt.fatal);
   return opt;
 }
 

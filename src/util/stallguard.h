@@ -37,7 +37,9 @@ struct StallGuardOptions {
   bool fatal = false;          // escalate a stall to crashbox dump + abort
   std::uint64_t poll_ms = 0;   // monitor period; 0 = stall_ms/4, clamped [5, 1000]
 
-  /// BST_STALL_MS / BST_STALL_FATAL (unset -> disabled).
+  /// BST_STALL_MS (0 .. 86400000 ms; unset or 0 -> disabled) and the
+  /// BST_STALL_FATAL switch (0 or 1), read through util/env.h: a bad value
+  /// throws std::runtime_error naming the variable.
   static StallGuardOptions from_env();
 };
 

@@ -4,13 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "util/crashbox.h"
+#include "util/env.h"
 #include "util/report.h"
 #include "util/stallguard.h"
 #include "util/trace.h"
@@ -19,30 +19,6 @@ namespace bst::util {
 namespace {
 
 const CtrId kTicks = Metrics::counter("telemetry_ticks");
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return fallback;
-  return v;
-}
-
-double env_f64(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s) return fallback;
-  return v;
-}
-
-std::string env_str(const char* name, std::string fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  return s;
-}
 
 // Prometheus metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; our interned names
 // can carry anything (phase histograms like "req:12_ns"), so map the rest
@@ -133,13 +109,11 @@ HistogramStats window_hist(const HistogramStats* oldest, const HistogramStats* n
 }  // namespace
 
 TelemetryOptions TelemetryOptions::from_env(TelemetryOptions base) {
-  base.interval_ms = std::max<std::uint64_t>(
-      10, env_u64("BST_TELEMETRY_INTERVAL_MS", base.interval_ms));
-  base.out = env_str("BST_TELEMETRY_OUT", base.out);
-  base.prom = env_str("BST_TELEMETRY_PROM", base.prom);
-  base.slo_p99_ms = env_f64("BST_SLO_P99_MS", base.slo_p99_ms);
-  base.window_ticks = std::max<std::size_t>(
-      1, static_cast<std::size_t>(env_u64("BST_TELEMETRY_WINDOW", base.window_ticks)));
+  env::read("BST_TELEMETRY_INTERVAL_MS", base.interval_ms);
+  env::read("BST_TELEMETRY_OUT", base.out);
+  env::read("BST_TELEMETRY_PROM", base.prom);
+  env::read("BST_SLO_P99_MS", base.slo_p99_ms);
+  env::read("BST_TELEMETRY_WINDOW", base.window_ticks);
   return base;
 }
 

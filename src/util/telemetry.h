@@ -35,12 +35,13 @@
 // 3% observability budget (util/calibrate.h) is checkable from the stream
 // alone (the telemetry-smoke CI job gates on it).
 //
-// Environment (TelemetryOptions::from_env; docs/API.md):
-//   BST_TELEMETRY_INTERVAL_MS  tick period (default 1000; min 10)
-//   BST_TELEMETRY_OUT          JSONL tick stream path (append; "" = off)
-//   BST_TELEMETRY_PROM         Prometheus exposition path ("" = off)
-//   BST_SLO_P99_MS             SLO latency target for burn-rate (default 100)
-//   BST_TELEMETRY_WINDOW       rolling window length in ticks (default 10)
+// Environment (TelemetryOptions::from_env, read through util/env.h; the
+// accepted ranges are in docs/API.md):
+//   BST_TELEMETRY_INTERVAL_MS  tick period in ms, 10 .. 86400000 (default 1000)
+//   BST_TELEMETRY_OUT          JSONL tick stream path (append; unset = off)
+//   BST_TELEMETRY_PROM         Prometheus exposition path (unset = off)
+//   BST_SLO_P99_MS             SLO latency target for burn-rate, > 0 (default 100)
+//   BST_TELEMETRY_WINDOW       rolling window length in ticks, >= 1 (default 10)
 #pragma once
 
 #include <condition_variable>
@@ -66,7 +67,9 @@ struct TelemetryOptions {
   std::string qps_counter = "service_completed";
   std::string latency_hist = "service_request_ns";
 
-  /// Applies BST_TELEMETRY_* / BST_SLO_* environment overrides.
+  /// Applies the BST_TELEMETRY_* / BST_SLO_* variables that are set on top
+  /// of `base`; a value outside its range throws std::runtime_error naming
+  /// the variable (util/env.h).
   static TelemetryOptions from_env(TelemetryOptions base);
   static TelemetryOptions from_env() { return from_env(TelemetryOptions{}); }
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
-#include "util/cli.h"
+#include "util/env.h"
 #include "util/metrics.h"
 #include "util/stallguard.h"
 #include "util/trace.h"
@@ -223,11 +222,9 @@ void ThreadPool::reset_worker_stats() {
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool([] {
-    if (const char* env = std::getenv("BST_THREADS"); env != nullptr && *env != '\0') {
-      const long n = parse_number<long>("BST_THREADS", env);
-      if (n > 0) return static_cast<std::size_t>(n);
-    }
-    return std::size_t{0};
+    std::size_t workers = 0;  // hardware concurrency
+    env::read("BST_THREADS", workers);
+    return workers;
   }());
   return pool;
 }

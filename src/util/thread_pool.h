@@ -43,7 +43,8 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);
 
-  /// Process-wide default pool (lazy, sized from BST_THREADS or hardware).
+  /// Process-wide default pool (lazy, sized from BST_THREADS or hardware;
+  /// a BST_THREADS outside 1 .. 1024 throws on first use, util/env.h).
   static ThreadPool& global();
 
   /// True while the calling thread is inside a parallel_for: always for pool

@@ -1,5 +1,5 @@
 // Tests for the dense factorizations (Cholesky, LDL^T, signature LDL,
-// trmm helpers).
+// triangle helpers).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -124,34 +124,6 @@ TEST(LdlSignature, SpdGivesAllPlusAndMatchesCholesky) {
   for (double s : sigma) EXPECT_DOUBLE_EQ(s, 1.0);
   Mat lc = cholesky_factor(a.view());
   EXPECT_LT(max_diff(l.view(), lc.view()), 1e-10);
-}
-
-TEST(Trmm, LeftLowerMatchesGemm) {
-  util::Rng rng(31);
-  Mat t(4, 4);
-  for (index_t j = 0; j < 4; ++j)
-    for (index_t i = j; i < 4; ++i) t(i, j) = rng.uniform(-1, 1);
-  Mat b(4, 3);
-  for (index_t j = 0; j < 3; ++j)
-    for (index_t i = 0; i < 4; ++i) b(i, j) = rng.uniform(-1, 1);
-  Mat expect(4, 3);
-  gemm(Op::None, Op::None, 2.0, t.view(), b.view(), 0.0, expect.view());
-  trmm(TrSide::Left, TrUplo::Lower, /*trans=*/false, 2.0, t.view(), b.view());
-  EXPECT_LT(max_diff(b.view(), expect.view()), 1e-12);
-}
-
-TEST(Trmm, RightUpperTransMatchesGemm) {
-  util::Rng rng(37);
-  Mat t(3, 3);
-  for (index_t j = 0; j < 3; ++j)
-    for (index_t i = 0; i <= j; ++i) t(i, j) = rng.uniform(-1, 1);
-  Mat b(4, 3);
-  for (index_t j = 0; j < 3; ++j)
-    for (index_t i = 0; i < 4; ++i) b(i, j) = rng.uniform(-1, 1);
-  Mat expect(4, 3);
-  gemm(Op::None, Op::Trans, 1.0, b.view(), t.view(), 0.0, expect.view());
-  trmm(TrSide::Right, TrUplo::Upper, /*trans=*/true, 1.0, t.view(), b.view());
-  EXPECT_LT(max_diff(b.view(), expect.view()), 1e-12);
 }
 
 TEST(KeepTriangle, ZeroesStrictParts) {

@@ -591,7 +591,9 @@ TEST(KernelConfigTest, EnvOverridesAndInvariants) {
   for (const char* name : {"BST_KERNEL_MC", "BST_KERNEL_KC", "BST_KERNEL_NC",
                            "BST_KERNEL_PACK_MIN_FLOPS", "BST_KERNEL_PACK_MIN_M",
                            "BST_KERNEL_PAR_MIN_FLOPS", "BST_KERNEL_SIMD"}) {
-    for (const char* bad : {"abc", "5x", "-1"}) expect_rejected(name, bad);
+    for (const char* bad : {"abc", "5x", "-1", "99999999999999999999"}) {
+      expect_rejected(name, bad);
+    }
     setenv(name, "", 1);
     const KernelConfig unset = KernelConfig::from_env(defaults);
     unsetenv(name);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -71,6 +72,36 @@ TEST(Ledger, EntryDistillsReportDocument) {
   const std::string line = entry.dump_compact();
   EXPECT_EQ(line.find('\n'), std::string::npos);
   EXPECT_EQ(line.find(": "), std::string::npos);
+}
+
+TEST(Ledger, EntryCarriesTheConfigBesideParams) {
+  // BST_PCG_TOL stands in for any declared variable; restore whatever the
+  // process started with.
+  const char* old = std::getenv("BST_PCG_TOL");
+  const std::string saved = old != nullptr ? old : "";
+  ::unsetenv("BST_PCG_TOL");
+  util::PerfReport report("test_tool");
+  report.param("n", static_cast<std::int64_t>(128));
+  const util::Json before = util::ledger_entry(report.build(false));
+  ::setenv("BST_PCG_TOL", "1e-9", 1);
+  const util::Json doc = report.build(false);
+  const util::Json after = util::ledger_entry(doc);
+  if (old != nullptr) {
+    ::setenv("BST_PCG_TOL", saved.c_str(), 1);
+  } else {
+    ::unsetenv("BST_PCG_TOL");
+  }
+
+  ASSERT_NE(doc.find("config"), nullptr);
+  ASSERT_NE(doc.find("config")->find("BST_PCG_TOL"), nullptr);
+  EXPECT_EQ(doc.find("config")->find("BST_PCG_TOL")->as_string(), "1e-9");
+  ASSERT_NE(after.find("config"), nullptr);
+  EXPECT_EQ(after.find("config")->dump_compact(), doc.find("config")->dump_compact());
+  // Beside params, not inside: grouping by params_hash ignores the config.
+  EXPECT_EQ(after.find("params")->find("BST_PCG_TOL"), nullptr);
+  EXPECT_EQ(after.find("params_hash")->as_string(), before.find("params_hash")->as_string());
+  ASSERT_NE(before.find("config"), nullptr);
+  EXPECT_EQ(before.find("config")->find("BST_PCG_TOL"), nullptr);
 }
 
 TEST(Ledger, AppendReadRoundTripSkipsCorruptLines) {

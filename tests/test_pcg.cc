@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pcg.h"
@@ -173,23 +174,31 @@ TEST(PcgOptions, FromEnvOverrides) {
 }
 
 TEST(PcgOptions, FromEnvRejectsGarbageAndTreatsEmptyAsUnset) {
-  for (const char* var : {"BST_PCG_TOL", "BST_PCG_MAXIT"}) {
-    for (const char* bad : {"abc", "5x"}) {
-      setenv(var, bad, 1);
-      try {
-        (void)PcgOptions::from_env();
-        ADD_FAILURE() << var << "=" << bad << " was accepted";
-      } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
-      }
+  // Neither takes nan or 0, and an iteration cap must fit an int: each
+  // throws like garbage, naming the variable.
+  for (const auto& [var, bad] :
+       {std::pair{"BST_PCG_TOL", "abc"}, std::pair{"BST_PCG_TOL", "5x"},
+        std::pair{"BST_PCG_TOL", "nan"}, std::pair{"BST_PCG_TOL", "0"},
+        std::pair{"BST_PCG_MAXIT", "abc"}, std::pair{"BST_PCG_MAXIT", "5x"},
+        std::pair{"BST_PCG_MAXIT", "nan"}, std::pair{"BST_PCG_MAXIT", "0"},
+        std::pair{"BST_PCG_MAXIT", "99999999999"}}) {
+    setenv(var, bad, 1);
+    try {
+      (void)PcgOptions::from_env();
+      ADD_FAILURE() << var << "=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
     }
+    unsetenv(var);
+  }
+  for (const char* var : {"BST_PCG_TOL", "BST_PCG_MAXIT"}) {
     setenv(var, "", 1);
     const PcgOptions opt = PcgOptions::from_env();
     EXPECT_DOUBLE_EQ(opt.tol, 1e-13);
     EXPECT_EQ(opt.max_iters, 500);
     unsetenv(var);
   }
-  setenv("BST_PCG_MAXIT", "0", 1);  // parses: still clamped to one iteration
+  setenv("BST_PCG_MAXIT", "1", 1);
   EXPECT_EQ(PcgOptions::from_env().max_iters, 1);
   unsetenv("BST_PCG_MAXIT");
 }

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/prof.h"
@@ -224,6 +227,36 @@ TEST(Prof, SpanStackSurvivesOverflow) {
   Prof::disarm();
   Tracer::disable();
   Tracer::reset();
+}
+
+TEST(ProfOptions, FromEnvTakesOnlyDeclaredValues) {
+  setenv("BST_PROF", "1", 1);
+  setenv("BST_PROF_PMU", "0", 1);
+  setenv("BST_PROF_HZ", "10000", 1);
+  setenv("BST_PROF_OUT", "p", 1);
+  const ProfOptions o = ProfOptions::from_env();
+  EXPECT_TRUE(o.armed_by_env);
+  EXPECT_FALSE(o.pmu);
+  EXPECT_EQ(o.sample_hz, 10000u);
+  EXPECT_EQ(o.out_prefix, "p");
+  // Switches take only 0 or 1, and the rate is capped at 10000 Hz.
+  for (const auto& [var, bad] : {std::pair{"BST_PROF", "false"}, std::pair{"BST_PROF_PMU", "no"},
+                                 std::pair{"BST_PROF_HZ", "20000"}}) {
+    const std::string old = std::getenv(var);
+    setenv(var, bad, 1);
+    try {
+      (void)ProfOptions::from_env();
+      ADD_FAILURE() << var << "=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    setenv(var, old.c_str(), 1);
+  }
+  for (const char* v : {"BST_PROF", "BST_PROF_PMU", "BST_PROF_HZ", "BST_PROF_OUT"}) unsetenv(v);
+  const ProfOptions d = ProfOptions::from_env();
+  EXPECT_FALSE(d.armed_by_env);
+  EXPECT_TRUE(d.pmu);
+  EXPECT_EQ(d.sample_hz, ProfOptions{}.sample_hz);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -400,7 +402,7 @@ TEST(ServiceOptions, FromEnvOverridesAndClamps) {
   setenv("BST_SERVICE_CACHE_BYTES", "1048576", 1);
   setenv("BST_SERVICE_QUEUE", "7", 1);
   setenv("BST_SERVICE_BATCH", "3", 1);
-  setenv("BST_SERVICE_PANEL", "0", 1);  // clamped to 1
+  setenv("BST_SERVICE_PANEL", "1", 1);
   setenv("BST_SERVICE_NOCACHE", "1", 1);
   setenv("BST_SERVICE_REFINE", "2", 1);
   ServiceOptions o = ServiceOptions::from_env();
@@ -412,6 +414,26 @@ TEST(ServiceOptions, FromEnvOverridesAndClamps) {
   EXPECT_EQ(o.refine_steps, 2);
   setenv("BST_SERVICE_NOCACHE", "0", 1);
   EXPECT_TRUE(ServiceOptions::from_env().cache_enabled);
+  // Nothing is clamped: a panel of 0, a queue of -1 and a switch spelled
+  // "false" throw naming the variable.
+  const auto expect_rejected = [](const char* var, const char* bad) {
+    const std::string old = std::getenv(var);
+    setenv(var, bad, 1);
+    try {
+      (void)ServiceOptions::from_env();
+      ADD_FAILURE() << var << "=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    setenv(var, old.c_str(), 1);
+  };
+  expect_rejected("BST_SERVICE_PANEL", "0");
+  expect_rejected("BST_SERVICE_PANEL", "8q");
+  expect_rejected("BST_SERVICE_QUEUE", "-1");
+  expect_rejected("BST_SERVICE_BATCH", "0");
+  expect_rejected("BST_SERVICE_NOCACHE", "false");
+  expect_rejected("BST_SERVICE_REFINE", "-1");
+  expect_rejected("BST_SERVICE_CACHE_BYTES", "1e9");
   for (const char* v : {"BST_SERVICE_CACHE_BYTES", "BST_SERVICE_QUEUE", "BST_SERVICE_BATCH",
                         "BST_SERVICE_PANEL", "BST_SERVICE_NOCACHE", "BST_SERVICE_REFINE"}) {
     unsetenv(v);
@@ -420,6 +442,20 @@ TEST(ServiceOptions, FromEnvOverridesAndClamps) {
   EXPECT_EQ(d.cache_bytes, ServiceOptions{}.cache_bytes);
   EXPECT_TRUE(d.cache_enabled);
   EXPECT_EQ(d.refine_steps, 0);
+}
+
+TEST(Service, BadPostMortemSettingThrowsFromTheConstructor) {
+  // The constructor reads BST_STALL_MS itself; a bad value must surface as
+  // an exception, not end the process through a joinable dispatcher.
+  const char* old = std::getenv("BST_STALL_MS");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("BST_STALL_MS", "5s", 1);
+  EXPECT_THROW(Service svc(small_opts()), std::runtime_error);
+  if (old != nullptr) {
+    setenv("BST_STALL_MS", saved.c_str(), 1);
+  } else {
+    unsetenv("BST_STALL_MS");
+  }
 }
 
 // ---------------------------------------------------------- metric counters

@@ -144,8 +144,8 @@ TEST(SolverPolicy, FromEnvOverrides) {
 
 TEST(SolverPolicy, FromEnvRejectsGarbageAndTreatsEmptyAsUnset) {
   const core::SolverPolicy defaults;
-  for (const char* var : {"BST_SOLVER_MIN_N", "BST_SOLVER_MAX_COND"}) {
-    for (const char* bad : {"abc", "5x"}) {
+  for (const char* var : {"BST_SOLVER", "BST_SOLVER_MIN_N", "BST_SOLVER_MAX_COND"}) {
+    for (const char* bad : {"abc", "5x", "-4", "inf", "fast"}) {
       setenv(var, bad, 1);
       try {
         (void)core::SolverPolicy::from_env();
@@ -156,6 +156,7 @@ TEST(SolverPolicy, FromEnvRejectsGarbageAndTreatsEmptyAsUnset) {
     }
     setenv(var, "", 1);
     const core::SolverPolicy pol = core::SolverPolicy::from_env();
+    EXPECT_EQ(pol.kind, defaults.kind);
     EXPECT_EQ(pol.pcg_min_n, defaults.pcg_min_n);
     EXPECT_DOUBLE_EQ(pol.pcg_max_cond, defaults.pcg_max_cond);
     unsetenv(var);

@@ -12,8 +12,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/service.h"
@@ -202,6 +206,32 @@ TEST(StallGuardShutdown, RestartWhileServiceChurns) {
   done.store(true);
   submitter.join();
   svc.drain();
+}
+
+TEST(StallGuardOptions, FromEnvTakesOnlyDeclaredValues) {
+  setenv("BST_STALL_MS", "250", 1);
+  setenv("BST_STALL_FATAL", "1", 1);
+  const StallGuardOptions o = StallGuardOptions::from_env();
+  EXPECT_EQ(o.stall_ms, 250u);
+  EXPECT_TRUE(o.fatal);
+  // The threshold is a whole number of ms; the switch takes only 0 or 1.
+  for (const auto& [var, bad] :
+       {std::pair{"BST_STALL_MS", "5s"}, std::pair{"BST_STALL_FATAL", "yes"}}) {
+    const std::string old = std::getenv(var);
+    setenv(var, bad, 1);
+    try {
+      (void)StallGuardOptions::from_env();
+      ADD_FAILURE() << var << "=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    setenv(var, old.c_str(), 1);
+  }
+  unsetenv("BST_STALL_MS");
+  unsetenv("BST_STALL_FATAL");
+  const StallGuardOptions d = StallGuardOptions::from_env();
+  EXPECT_EQ(d.stall_ms, 0u);
+  EXPECT_FALSE(d.fatal);
 }
 
 }  // namespace

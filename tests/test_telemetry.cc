@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/metrics.h"
@@ -248,11 +249,11 @@ TEST(Telemetry, PrometheusNameSanitization) {
 // ---------------------------------------------------------- env overrides
 
 TEST(TelemetryOptions, FromEnvOverridesAndClamps) {
-  setenv("BST_TELEMETRY_INTERVAL_MS", "5", 1);  // clamped to 10
+  setenv("BST_TELEMETRY_INTERVAL_MS", "10", 1);
   setenv("BST_TELEMETRY_OUT", "/tmp/ticks.jsonl", 1);
   setenv("BST_TELEMETRY_PROM", "/tmp/bst.prom", 1);
   setenv("BST_SLO_P99_MS", "25.5", 1);
-  setenv("BST_TELEMETRY_WINDOW", "0", 1);  // clamped to 1
+  setenv("BST_TELEMETRY_WINDOW", "1", 1);
   const TelemetryOptions o = TelemetryOptions::from_env();
   EXPECT_EQ(o.interval_ms, 10u);
   EXPECT_EQ(o.out, "/tmp/ticks.jsonl");
@@ -260,6 +261,22 @@ TEST(TelemetryOptions, FromEnvOverridesAndClamps) {
   EXPECT_NEAR(o.slo_p99_ms, 25.5, 1e-12);
   EXPECT_EQ(o.window_ticks, 1u);
   EXPECT_TRUE(o.active());
+  // Values below the floors of 10 ms and 1 tick, and malformed ones, throw
+  // naming the variable; nothing is clamped.
+  for (const auto& [var, bad] : {std::pair{"BST_TELEMETRY_INTERVAL_MS", "5"},
+                                 std::pair{"BST_TELEMETRY_INTERVAL_MS", "5s"},
+                                 std::pair{"BST_TELEMETRY_WINDOW", "0"},
+                                 std::pair{"BST_SLO_P99_MS", "-5"}}) {
+    const std::string old = std::getenv(var);
+    setenv(var, bad, 1);
+    try {
+      (void)TelemetryOptions::from_env();
+      ADD_FAILURE() << var << "=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    setenv(var, old.c_str(), 1);
+  }
   for (const char* v : {"BST_TELEMETRY_INTERVAL_MS", "BST_TELEMETRY_OUT",
                         "BST_TELEMETRY_PROM", "BST_SLO_P99_MS", "BST_TELEMETRY_WINDOW"}) {
     unsetenv(v);

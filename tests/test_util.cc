@@ -1,13 +1,22 @@
 // Tests for util/: RNG determinism and distributions, flop counting,
-// table rendering, CLI parsing, FP trap scopes.
+// table rendering, CLI and BST_* environment parsing, FP trap scopes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cmath>
+#include <cstdlib>
+#include <deque>
+#include <limits>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
+#include "util/env.h"
 #include "util/flops.h"
 #include "util/fpenv.h"
 #include "util/rng.h"
@@ -145,38 +154,235 @@ TEST(Cli, RejectsTrailingGarbageOnDoubles) {
 TEST(ParseNumber, NamesTheSourceAndRejectsPartialValues) {
   EXPECT_EQ(parse_number<long>("BST_THREADS", "12"), 12);
   EXPECT_DOUBLE_EQ(parse_number<double>("BST_PCG_TOL", "1e-9"), 1e-9);
-  for (const char* bad : {"abc", "5x", ""}) {
+  const auto expect_named = [](auto parse, const char* bad) {
     try {
-      (void)parse_number<long>("BST_THREADS", bad);
+      (void)parse(bad);
       ADD_FAILURE() << "'" << bad << "' was accepted";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("BST_THREADS"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("BST_"), std::string::npos) << e.what();
     }
-    EXPECT_THROW((void)parse_number<double>("BST_PCG_TOL", bad), std::runtime_error) << bad;
+  };
+  const auto as_long = [](const char* t) { return parse_number<long>("BST_THREADS", t); };
+  const auto as_double = [](const char* t) { return parse_number<double>("BST_PCG_TOL", t); };
+  for (const char* bad : {"abc", "5x", ""}) {
+    expect_named(as_long, bad);
+    expect_named(as_double, bad);
+  }
+  // Values the type cannot represent: strtol saturates, strtod yields
+  // nan/inf, and neither may pass as a number.
+  for (const char* bad : {"99999999999999999999", "-99999999999999999999"}) {
+    expect_named(as_long, bad);
+  }
+  for (const char* bad : {"nan", "inf", "-inf", "infinity", "1e400", "-1e400"}) {
+    expect_named(as_double, bad);
+  }
+  EXPECT_EQ(parse_number<long>("BST_THREADS", "9223372036854775807"), 9223372036854775807L);
+  EXPECT_DOUBLE_EQ(parse_number<double>("BST_PCG_TOL", "1e308"), 1e308);
+
+  // The flags share the parser.
+  const char* argv[] = {"prog", "--n=99999999999999999999", "--tol=nan"};
+  Cli cli(3, const_cast<char**>(argv));
+  EXPECT_THROW((void)cli.get_int("n", 0), std::runtime_error);
+  EXPECT_THROW((void)cli.get_double("tol", 0.0), std::runtime_error);
+}
+
+// Sets (or, given nullptr, unsets) one variable for the lifetime of the
+// guard, then restores what the process started with.
+class ScopedEnv {
+ public:
+  ScopedEnv(std::string name, const char* value) : name_(std::move(name)) {
+    if (const char* old = std::getenv(name_.c_str()); old != nullptr) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name_.c_str(), value, 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_.c_str(), old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::optional<std::string> old_;
+};
+
+std::string integer_text(double x) { return std::to_string(static_cast<long long>(x)); }
+
+std::string real_text(double x) {
+  std::ostringstream os;
+  os << x;
+  return os.str();
+}
+
+// Reads `v` into a field of the type its declaration calls for and renders
+// the result; nullopt when the reader reports it unset.
+std::optional<std::string> read_declared(const env::Var& v) {
+  switch (v.type) {
+    case env::Type::Integer: {
+      long x = 0;
+      if (!env::read(v.name, x)) return std::nullopt;
+      return std::to_string(x);
+    }
+    case env::Type::Real: {
+      double x = 0.0;
+      if (!env::read(v.name, x)) return std::nullopt;
+      return real_text(x);
+    }
+    case env::Type::Switch: {
+      bool x = false;
+      if (!env::read(v.name, x)) return std::nullopt;
+      return x ? "1" : "0";
+    }
+    case env::Type::String:
+    case env::Type::Choice:
+      break;
+  }
+  std::string x;
+  if (!env::read(v.name, x)) return std::nullopt;
+  return x;
+}
+
+// Values each declared variable must refuse, and values it must take back
+// unchanged, derived from its declared type and range.
+struct Cases {
+  std::vector<std::string> bad;
+  std::vector<std::string> good;
+};
+
+Cases cases_for(const env::Var& v) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Cases c;
+  switch (v.type) {
+    case env::Type::Integer:
+      c.bad = {"abc", "5x", "7 ", "1.5", "99999999999999999999", integer_text(v.lo - 1)};
+      c.good = {integer_text(v.lo), integer_text(v.lo + 1)};
+      if (v.hi != kInf) {
+        c.bad.push_back(integer_text(v.hi + 1));
+        c.good.push_back(integer_text(v.hi));
+      }
+      break;
+    case env::Type::Real:
+      c.bad = {"abc", "2.5x", "nan", "inf", "1e400", real_text(v.lo_open ? v.lo : v.lo - 1)};
+      c.good = {real_text(v.lo + 2.5)};
+      if (!v.lo_open) c.good.push_back(real_text(v.lo));
+      if (v.hi != kInf) {
+        c.bad.push_back(real_text(2 * v.hi + 1));
+        c.good.push_back(real_text(v.hi));
+      }
+      break;
+    case env::Type::Switch:
+      c.bad = {"abc", "2", "-1", "01", "1x", "true", "yes", "false", "no"};
+      c.good = {"0", "1"};
+      break;
+    case env::Type::Choice:
+      c.bad = {"abc", "x"};
+      for (std::size_t start = 0; start <= v.choices.size();) {
+        const std::size_t bar = std::min(v.choices.find('|', start), v.choices.size());
+        c.good.emplace_back(v.choices.substr(start, bar - start));
+        c.bad.push_back(c.good.back() + "x");
+        start = bar + 1;
+      }
+      break;
+    case env::Type::String:
+      c.good = {"some/path", "a b"};
+      break;
+  }
+  return c;
+}
+
+TEST(Env, EveryDeclaredVariableIsReadStrictly) {
+  const std::span<const env::Var> vars = env::declared();
+  ASSERT_EQ(vars.size(), 39u);
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    const env::Var& v = vars[i];
+    const std::string name(v.name);
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(name.starts_with("BST_"));
+    if (i > 0) {
+      EXPECT_LT(vars[i - 1].name, v.name);  // sorted, unique
+    }
+    const ScopedEnv unset(name, nullptr);
+    EXPECT_EQ(read_declared(v), std::nullopt);
+    {
+      const ScopedEnv empty(name, "");  // empty means unset
+      EXPECT_EQ(read_declared(v), std::nullopt);
+    }
+    const Cases c = cases_for(v);
+    for (const std::string& bad : c.bad) {
+      const ScopedEnv set(name, bad.c_str());
+      try {
+        (void)read_declared(v);
+        ADD_FAILURE() << name << "=" << bad << " was accepted";
+      } catch (const std::runtime_error& e) {
+        // The message names the variable, its accepted range and the value.
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+        EXPECT_NE(what.find(env::accepted(v)), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+      }
+    }
+    for (const std::string& good : c.good) {
+      const ScopedEnv set(name, good.c_str());
+      EXPECT_EQ(read_declared(v), good);
+    }
   }
 }
 
-TEST(EnvPositive, ParsesWholeRejectsNonPositiveAndTreatsEmptyAsUnset) {
-  const char* var = "BST_SCHUR_GRAIN_FLOPS";
-  unsetenv(var);
-  EXPECT_DOUBLE_EQ(env_positive(var, 1e5), 1e5);
-  setenv(var, "", 1);
-  EXPECT_DOUBLE_EQ(env_positive(var, 1e5), 1e5);
-  setenv(var, "2.5e4", 1);
-  EXPECT_DOUBLE_EQ(env_positive(var, 1e5), 2.5e4);
-  setenv(var, "7", 1);
-  EXPECT_EQ(env_positive(var, 3L), 7);
-  for (const char* bad : {"abc", "5x", "-1", "0"}) {
-    setenv(var, bad, 1);
-    try {
-      (void)env_positive(var, 1e5);
-      ADD_FAILURE() << "'" << bad << "' was accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+TEST(Env, AcceptedRangesReadAsTheyAreChecked) {
+  const auto accepted = [](std::string_view name) {
+    for (const env::Var& v : env::declared()) {
+      if (v.name == name) return env::accepted(v);
     }
-    EXPECT_THROW((void)env_positive(var, 3L), std::runtime_error) << bad;
+    return std::string("undeclared");
+  };
+  EXPECT_EQ(accepted("BST_PROF_HZ"), "an integer in [0, 10000]");
+  EXPECT_EQ(accepted("BST_THREADS"), "an integer in [1, 1024]");
+  EXPECT_EQ(accepted("BST_SERVICE_QUEUE"), "an integer >= 1");
+  EXPECT_EQ(accepted("BST_PCG_TOL"), "a number > 0");
+  EXPECT_EQ(accepted("BST_SERVICE_SLOW_MS"), "a number >= 0");
+  EXPECT_EQ(accepted("BST_STALL_FATAL"), "0 or 1");
+  EXPECT_EQ(accepted("BST_SOLVER"), "one of auto|schur|pcg");
+}
+
+TEST(Env, UndeclaredNameIsAnErrorAndEmptyIsUnset) {
+  const ScopedEnv unset("BST_THREADS", nullptr);
+  long threads = 0;
+  {
+    const ScopedEnv typo("BST_THREAD", "4");
+    try {
+      (void)env::read("BST_THREADS", threads);
+      ADD_FAILURE() << "BST_THREAD=4 was ignored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("BST_THREAD:"), std::string::npos) << e.what();
+    }
   }
-  unsetenv(var);
+  {
+    const ScopedEnv typo("BST_THREAD", "");
+    EXPECT_FALSE(env::read("BST_THREADS", threads));
+  }
+  EXPECT_EQ(threads, 0);
+  // A name the program reads without declaring it is a program bug.
+  EXPECT_THROW((void)env::read("BST_NOT_DECLARED", threads), std::logic_error);
+  EXPECT_THROW((void)env::read("BST_PCG_TOL", threads), std::logic_error);
+}
+
+TEST(Env, InEffectListsTheSetDeclaredVariablesByName) {
+  std::deque<ScopedEnv> unset;
+  for (const env::Var& v : env::declared()) unset.emplace_back(std::string(v.name), nullptr);
+  EXPECT_TRUE(env::in_effect().empty());
+  const ScopedEnv b("BST_SOLVER", "pcg");
+  const ScopedEnv a("BST_PCG_TOL", "1e-9");
+  const ScopedEnv empty("BST_PROF", "");
+  using Entry = std::pair<std::string, std::string>;
+  EXPECT_EQ(env::in_effect(),
+            (std::vector<Entry>{{"BST_PCG_TOL", "1e-9"}, {"BST_SOLVER", "pcg"}}));
 }
 
 TEST(Cli, RejectsNonNumericValues) {

@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """Docs-consistency gate (run as a ctest; wired in tools/CMakeLists.txt).
 
-Two invariants, checked against the union of every docs/*.md file:
+Four invariants:
 
   1. every --flag printed by `bst_solve --help` and `bst_report --help`
      is documented somewhere under docs/;
-  2. every BST_* environment variable referenced as a string literal in
-     src/, tools/ or bench/ is documented somewhere under docs/.
+  2. the BST_* variables declared in the table of src/util/env.cc and the
+     environment table of docs/API.md list the same names, in both
+     directions;
+  3. every BST_* name referenced as a string literal in src/, tools/ or
+     bench/ is declared in that table (the reader rejects any other);
+  4. no file under src/, tools/ or bench/ other than src/util/env.cc reads
+     the environment through the C library's lookup call, so one module
+     decides how every setting is read.
 
 A flag or env var that ships undocumented fails the build -- the docs and
 the binaries drift apart exactly once, at review time, not at use time.
@@ -21,6 +27,11 @@ import sys
 
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 ENV_RE = re.compile(r'"(BST_[A-Z0-9_]+)"')
+DOC_ENV_RE = re.compile(r"`(BST_[A-Z0-9_]+)`")
+# Spelled in two pieces so that this file does not match itself.
+LOOKUP_RE = re.compile(r"\bget" r"env\b")
+ENV_TABLE = pathlib.Path("src/util/env.cc")
+SOURCE_DIRS = ("src", "tools", "bench")
 
 
 def parse_args(argv):
@@ -44,18 +55,34 @@ def help_flags(binary):
     return flags
 
 
-def source_env_vars(repo):
-    env = set()
-    for sub in ("src", "tools", "bench"):
+def source_files(repo):
+    for sub in SOURCE_DIRS:
         for path in sorted((repo / sub).rglob("*")):
-            if path.suffix not in {".h", ".cc", ".py"}:
-                continue
-            for name in ENV_RE.findall(path.read_text(errors="replace")):
-                # Names ending in '_' are dynamic prefixes (e.g. the
-                # "BST_KERNEL_" family base), not variables themselves.
-                if not name.endswith("_"):
-                    env.add(name)
-    return env
+            if path.is_file() and path.suffix in {".h", ".cc", ".py", ".txt"}:
+                yield path
+
+
+def declared_env_vars(repo):
+    """Names in the kVars table of src/util/env.cc."""
+    text = (repo / ENV_TABLE).read_text()
+    start = text.find("kVars = {")
+    end = text.find("\n};", start)
+    if start < 0 or end < 0:
+        sys.exit(f"check_docs: no kVars table in {ENV_TABLE}")
+    return set(ENV_RE.findall(text[start:end]))
+
+
+def api_env_vars(repo):
+    """Names in the first column of the environment table of docs/API.md."""
+    text = (repo / "docs" / "API.md").read_text()
+    section = text.partition("## Environment variables")[2].partition("\n## ")[0]
+    names = set()
+    for line in section.splitlines():
+        if line.startswith("| `BST_"):
+            names.update(DOC_ENV_RE.findall(line.split("|")[1]))
+    if not names:
+        sys.exit("check_docs: docs/API.md has no environment table")
+    return names
 
 
 def main(argv):
@@ -70,16 +97,32 @@ def main(argv):
         for flag in sorted(help_flags(binary)):
             if flag not in docs:
                 problems.append(f"{label} flag '{flag}' is not documented in docs/*.md")
-    for name in sorted(source_env_vars(repo)):
-        if name not in docs:
-            problems.append(f"environment variable '{name}' is not documented in docs/*.md")
+
+    declared = declared_env_vars(repo)
+    documented = api_env_vars(repo)
+    for name in sorted(declared - documented):
+        problems.append(f"'{name}' is declared in {ENV_TABLE} but missing from docs/API.md")
+    for name in sorted(documented - declared):
+        problems.append(f"'{name}' is listed in docs/API.md but not declared in {ENV_TABLE}")
+
+    for path in source_files(repo):
+        text = path.read_text(errors="replace")
+        rel = path.relative_to(repo)
+        for name in sorted(set(ENV_RE.findall(text))):
+            # Names ending in '_' are prefixes (the "BST_" family base),
+            # not variables themselves.
+            if not name.endswith("_") and name not in declared:
+                problems.append(f"{rel} names '{name}', which {ENV_TABLE} does not declare")
+        if rel != ENV_TABLE and LOOKUP_RE.search(text):
+            problems.append(f"{rel} reads the environment directly; use util/env.h")
 
     if problems:
         print("check_docs: documentation drift detected:")
         for p in problems:
             print(f"  - {p}")
         return 1
-    print("check_docs: all CLI flags and BST_* environment variables are documented")
+    print(f"check_docs: all CLI flags are documented; the {len(declared)} BST_* variables "
+          f"match docs/API.md and are read only through {ENV_TABLE}")
     return 0
 
 
