@@ -42,11 +42,14 @@ namespace bst::bench {
 
 class Obs {
  public:
+  /// Checks every set BST_* variable first (util::env::check): a bad one
+  /// throws, whether or not this bench reaches the module that reads it.
   explicit Obs(const util::Cli& cli)
       : trace_(cli.get("trace", "")),
         profile_(cli.get("profile", "")),
         ledger_(cli.get("ledger", "")),
         json_flag_(cli.get("json", "")) {
+    util::env::check();
     std::string cal_path = cli.get("calibration", "");
     if (cal_path.empty()) util::env::read("BST_CALIBRATION", cal_path);
     if (!cal_path.empty()) load_calibration(cal_path);

@@ -3,8 +3,11 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/flop_model.h"
 #include "la/blas.h"
+#include "la/kernel_config.h"
 #include "util/flops.h"
+#include "util/trace.h"
 
 namespace bst::core {
 
@@ -248,145 +251,169 @@ void BlockReflector::accumulate(const Reflector& r, index_t k) {
   }
 }
 
+namespace {
+
+// Bytes an apply charges: the operand footprints of the level-3 products it
+// counts, each factor read once and each product read and written (the
+// la::gemm convention), for r reflectors and l columns.
+std::uint64_t application_bytes(Representation rep, index_t m, index_t r, index_t l) {
+  switch (rep) {
+    case Representation::AccumulatedU:  // four m x m quadrants against m x l
+      return static_cast<std::uint64_t>(32 * (m * m + 3 * m * l));
+    case Representation::VY1:  // Y_up^T A, Y_low^T B, V_low Z
+      return static_cast<std::uint64_t>(8 * (3 * m * r + 4 * m * l + 5 * r * l));
+    case Representation::VY2:
+    case Representation::YTY:  // Y_low^T B, then V_low or Y_low times Z
+      return static_cast<std::uint64_t>(8 * (2 * m * r + 3 * m * l + 3 * r * l));
+    case Representation::Sequential:
+      break;
+  }
+  return 0;
+}
+
+// The per-thread scratch of apply(): the packed factors, the diagonals and
+// the chunk's Z and T Z.  Grow-only, so once a thread has applied one step
+// its later applies allocate nothing.
+struct ApplyScratch {
+  la::PackedLeft f[4];
+  std::vector<double> d, dz;
+  la::PackBuffer work;
+};
+
+ApplyScratch& apply_scratch() {
+  thread_local ApplyScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 void BlockReflector::apply(View a, View b) const {
   assert(built_ >= 1 && "apply() before a successful build()");
   assert(a.rows() == m_ && b.rows() == m_ && a.cols() == b.cols());
   if (a.cols() == 0) return;
+  if (rep_ == Representation::Sequential) return apply_sequential(a, b);
+  const index_t m = m_, r = built_, l = a.cols();
+  // A step's (or a panel's) reflectors eliminate consecutive pivot columns,
+  // so the sparse upper factors live in the r x r block of rows p0.. .
+  const index_t p0 = refl_.front().pivot;
+  for (index_t k = 0; k < r; ++k) {
+    assert(refl_[static_cast<std::size_t>(k)].pivot == p0 + k);
+  }
+  // Packed micro-kernel or direct loops, from m alone: a column's result
+  // then never depends on how many columns come with it.
+  const la::KernelConfig& cfg = la::KernelConfig::active();
+  const bool packed = m >= cfg.pack_min_m;
+  const bool odd = (r - 1) % 2 == 1;  // YTY: W^{r-1} flips the signed rows
+  // The small factors, packed once per call.  The upper halves carry the
+  // sparsity of paper Figs. 3-4 within the pivot rows:
+  //   VY1: V_up is diagonal, Y_up dense;
+  //   VY2: Y_up is diagonal, V_up lower triangular;
+  //   YTY: Y_up is diagonal, T lower triangular.
+  // d holds the diagonal one (and dz, for YTY, its W^{r-1}-signed copy).
+  ApplyScratch& scratch = apply_scratch();
+  la::PackedLeft* f = scratch.f;
+  std::vector<double>& d = scratch.d;
+  std::vector<double>& dz = scratch.dz;
+  d.resize(static_cast<std::size_t>(r));
+  dz.resize(static_cast<std::size_t>(r));
+  for (index_t k = 0; k < r && rep_ != Representation::AccumulatedU; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    d[kk] = (rep_ == Representation::VY1) ? v_(p0 + k, k) : y_(p0 + k, k);
+    dz[kk] = odd ? d[kk] * sig_[static_cast<std::size_t>(p0 + k)] : d[kk];
+  }
+  const auto lower = [&](la::CView t, la::PackedLeft& out) {
+    out.pack_triangle(la::Uplo::Lower, la::Op::None, la::Diag::NonUnit, 1.0, t, packed);
+  };
   switch (rep_) {
-    case Representation::AccumulatedU: return apply_accumulated_u(a, b);
-    case Representation::VY1:
-    case Representation::VY2: return apply_vy(a, b);
-    case Representation::YTY: return apply_yty(a, b);
-    case Representation::Sequential: return apply_sequential(a, b);
-  }
-}
-
-void BlockReflector::apply_accumulated_u(View a, View b) const {
-  const index_t l = a.cols();
-  Mat ta(m_, l), tb(m_, l);
-  la::CView u11 = u_.block(0, 0, m_, m_);
-  la::CView u12 = u_.block(0, m_, m_, m_);
-  la::CView u21 = u_.block(m_, 0, m_, m_);
-  la::CView u22 = u_.block(m_, m_, m_, m_);
-  la::gemm(la::Op::None, la::Op::None, 1.0, u11, a, 0.0, ta.view());
-  la::gemm(la::Op::None, la::Op::None, 1.0, u12, b, 1.0, ta.view());
-  la::gemm(la::Op::None, la::Op::None, 1.0, u21, a, 0.0, tb.view());
-  la::gemm(la::Op::None, la::Op::None, 1.0, u22, b, 1.0, tb.view());
-  la::copy(ta.view(), a);
-  la::copy(tb.view(), b);
-}
-
-void BlockReflector::apply_vy(View a, View b) const {
-  const index_t l = a.cols();
-  const index_t r = built_;  // aggregated reflectors (== m for a full step)
-  // The upper halves of V and Y carry the sparsity of paper Figs. 3:
-  //   VY1: V_up is diagonal (columns are the x vectors, upper part e_k),
-  //        Y_up is dense;
-  //   VY2: Y_up is diagonal (columns are beta W^k x), V_up is lower
-  //        triangular (rows fill in as later reflectors touch them).
-  // Exploiting this removes roughly half of the dense work, which is what
-  // makes the VY application costs of eqs. 30-31 achievable.
-  Mat z(r, l);
-  if (rep_ == Representation::VY2) {
-    // Z = D_yup A(rows 0..r) + Y_low^T B.
-    la::gemm(la::Op::Trans, la::Op::None, 1.0, y_.block(m_, 0, m_, r), b, 0.0, z.view());
-    for (index_t k = 0; k < r; ++k) {
-      const index_t pk = refl_[static_cast<std::size_t>(k)].pivot;
-      const double d = y_(pk, k);
-      const double* arow = &a(pk, 0);
-      double* zrow = &z(k, 0);
-      for (index_t j = 0; j < l; ++j) zrow[j * z.ld()] += d * arow[j * a.ld()];
-    }
-    util::FlopCounter::charge(static_cast<std::uint64_t>(2 * r * l));
-  } else {
-    la::gemm(la::Op::Trans, la::Op::None, 1.0, y_.block(0, 0, m_, r), a, 0.0, z.view());
-    la::gemm(la::Op::Trans, la::Op::None, 1.0, y_.block(m_, 0, m_, r), b, 1.0, z.view());
-  }
-  // A := W^r A + V_up Z;  B := W^r B + V_low Z.
-  scale_rows_wk(a, sig_, 0, r);
-  scale_rows_wk(b, sig_, m_, r);
-  if (rep_ == Representation::VY1) {
-    // V_up is nonzero only at the pivot row of each column (diagonal in
-    // the full-step case, shifted for panels).
-    for (index_t k = 0; k < r; ++k) {
-      const index_t pk = refl_[static_cast<std::size_t>(k)].pivot;
-      const double d = v_(pk, k);
-      const double* zrow = &z(k, 0);
-      double* arow = &a(pk, 0);
-      for (index_t j = 0; j < l; ++j) arow[j * a.ld()] += d * zrow[j * z.ld()];
-    }
-    util::FlopCounter::charge(static_cast<std::uint64_t>(2 * r * l));
-  } else {
-    // V_up's only nonzero rows are the pivot rows, and pivot row of
-    // reflector i carries entries in columns <= i (lower triangular after
-    // reindexing by pivot order).
-    for (index_t j = 0; j < l; ++j) {
-      const double* zc = z.view().col(j);
-      double* ac = a.col(j);
-      for (index_t i = 0; i < r; ++i) {
-        const index_t pi = refl_[static_cast<std::size_t>(i)].pivot;
-        double s = 0.0;
-        for (index_t k = 0; k <= i; ++k) s += v_(pi, k) * zc[k];
-        ac[pi] += s;
+    case Representation::AccumulatedU:
+      for (index_t q = 0; q < 4; ++q) {
+        f[q].pack(la::Op::None, u_.block((q / 2) * m, (q % 2) * m, m, m), packed);
       }
+      break;
+    case Representation::VY1:
+      f[0].pack(la::Op::Trans, y_.block(0, 0, m, r), packed);
+      f[1].pack(la::Op::Trans, y_.block(m, 0, m, r), packed);
+      f[2].pack(la::Op::None, v_.block(m, 0, m, r), packed);
+      break;
+    case Representation::VY2:
+      f[0].pack(la::Op::Trans, y_.block(m, 0, m, r), packed);
+      lower(v_.block(p0, 0, r, r), f[1]);
+      f[2].pack(la::Op::None, v_.block(m, 0, m, r), packed);
+      break;
+    case Representation::YTY:
+      // Z = Y^T W^{r-1} [A; B]: the signs of W^{r-1} fold into Y_low^T.
+      f[0].pack(la::Op::Trans, y_.block(m, 0, m, r), packed,
+                odd ? &sig_[static_cast<std::size_t>(m)] : nullptr);
+      lower(t_.block(0, 0, r, r), f[1]);
+      f[2].pack(la::Op::None, y_.block(m, 0, m, r), packed);
+      break;
+    case Representation::Sequential:
+      break;
+  }
+  // One sweep over column chunks sized so a chunk of [A; B] with its Z and
+  // T Z (4m doubles a column) fills the L1 share KernelConfig budgets for
+  // one kc-deep pair of micro-panels, kc (mr + nr) doubles.  Z stays in L1
+  // from the product that forms it to the A and B updates it feeds.
+  const index_t nr = la::kMicroCols;
+  const index_t w =
+      std::min(l, std::max(nr, cfg.kc * (la::kMicroRows + nr) / (4 * m) / nr * nr));
+  // U: the new [A; B]; the others: Z and T Z.  Every entry read is
+  // written first, so the scratch needs no clearing.
+  View work(scratch.work.get(static_cast<std::size_t>(2 * m * w)), 2 * m, w, 2 * m);
+  for (index_t j0 = 0; j0 < l; j0 += w) {
+    const index_t wc = std::min(w, l - j0);
+    View ac = a.block(0, j0, m, wc), bc = b.block(0, j0, m, wc);
+    View ap = ac.block(p0, 0, r, wc);  // A's pivot rows
+    View z = work.block(0, 0, r, wc), tz = work.block(r, 0, r, wc);
+    switch (rep_) {
+      case Representation::AccumulatedU: {
+        // [A; B] := [U11 U12; U21 U22] [A; B].
+        View ta = work.block(0, 0, m, wc), tb = work.block(m, 0, m, wc);
+        la::gemm(f[0], ac, 0.0, ta);
+        la::gemm(f[1], bc, 1.0, ta);
+        la::gemm(f[2], ac, 0.0, tb);
+        la::gemm(f[3], bc, 1.0, tb);
+        la::copy(ta, ac);
+        la::copy(tb, bc);
+        break;
+      }
+      case Representation::VY1:
+        // Z = Y_up^T A + Y_low^T B;  A := W^r A + V_up Z;  B := W^r B + V_low Z.
+        la::gemm(f[0], ac, 0.0, z);
+        la::gemm(f[1], bc, 1.0, z);
+        scale_rows_wk(ac, sig_, 0, r);
+        scale_rows_wk(bc, sig_, m, r);
+        la::dgmm(d.data(), z, ap);
+        la::gemm(f[2], z, 1.0, bc);
+        break;
+      case Representation::VY2:
+        // Z = Y_up^T A + Y_low^T B;  A := W^r A + V_up Z (the packed trmm);
+        // B := W^r B + V_low Z.
+        la::gemm(f[0], bc, 0.0, z);
+        la::dgmm(d.data(), ap, z);
+        scale_rows_wk(ac, sig_, 0, r);
+        scale_rows_wk(bc, sig_, m, r);
+        la::gemm(f[1], z, 1.0, ap);
+        la::gemm(f[2], z, 1.0, bc);
+        break;
+      case Representation::YTY:
+        // Z = Y^T W^{r-1} [A; B];  T Z (the packed trmm);
+        // A := W^r A + Y_up T Z;  B := W^r B + Y_low T Z.
+        la::gemm(f[0], bc, 0.0, z);
+        la::dgmm(dz.data(), ap, z);
+        la::gemm(f[1], z, 0.0, tz);
+        scale_rows_wk(ac, sig_, 0, r);
+        scale_rows_wk(bc, sig_, m, r);
+        la::dgmm(d.data(), tz, ap);
+        la::gemm(f[2], tz, 1.0, bc);
+        break;
+      case Representation::Sequential:
+        break;
     }
-    util::FlopCounter::charge(static_cast<std::uint64_t>(r * (r + 1) * l));
   }
-  la::gemm(la::Op::None, la::Op::None, 1.0, v_.block(m_, 0, m_, r), z.view(), 1.0, b);
-}
-
-void BlockReflector::apply_yty(View a, View b) const {
-  const index_t l = a.cols();
-  const index_t r = built_;  // aggregated reflectors (== m for a full step)
-  // Sparsity of paper Fig. 4: Y_up is diagonal (columns are the x vectors,
-  // never modified by the recurrence) and T is lower triangular.
-  // Z = Y^T W^{r-1} [A; B]: fold the W^{r-1} signs into the diagonal /
-  // per-row signs.
-  // W^{r-1} scales row i of [A;B] by sig_i^(r-1); for odd r-1 fold the
-  // signs into a copy of Y_low (and into the diagonal term below).
-  Mat z(r, l);
-  if ((r - 1) % 2 == 0) {
-    la::gemm(la::Op::Trans, la::Op::None, 1.0, y_.block(m_, 0, m_, r), b, 0.0, z.view());
-  } else {
-    Mat yl(m_, r);
-    for (index_t k = 0; k < r; ++k)
-      for (index_t i = 0; i < m_; ++i)
-        yl(i, k) = y_(m_ + i, k) * sig_[static_cast<std::size_t>(m_ + i)];
-    la::gemm(la::Op::Trans, la::Op::None, 1.0, yl.view(), b, 0.0, z.view());
-  }
-  for (index_t k = 0; k < r; ++k) {
-    const index_t pk = refl_[static_cast<std::size_t>(k)].pivot;
-    double d = y_(pk, k);
-    if ((r - 1) % 2 == 1) d *= sig_[static_cast<std::size_t>(pk)];
-    const double* arow = &a(pk, 0);
-    double* zrow = &z(k, 0);
-    for (index_t j = 0; j < l; ++j) zrow[j * z.ld()] += d * arow[j * a.ld()];
-  }
-  util::FlopCounter::charge(static_cast<std::uint64_t>(2 * r * l));
-  // Z2 = T Z with T lower triangular (triangular multiply, half the work).
-  Mat z2(r, l);
-  for (index_t j = 0; j < l; ++j) {
-    const double* zc = z.view().col(j);
-    double* oc = z2.view().col(j);
-    for (index_t i = 0; i < r; ++i) {
-      double s = 0.0;
-      for (index_t k = 0; k <= i; ++k) s += t_(i, k) * zc[k];
-      oc[i] = s;
-    }
-  }
-  util::FlopCounter::charge(static_cast<std::uint64_t>(r * (r + 1) * l));
-  scale_rows_wk(a, sig_, 0, r);
-  scale_rows_wk(b, sig_, m_, r);
-  // A += Y_up Z2 (pivot-row sparse);  B += Y_low Z2 (dense).
-  for (index_t k = 0; k < r; ++k) {
-    const index_t pk = refl_[static_cast<std::size_t>(k)].pivot;
-    const double d = y_(pk, k);
-    const double* zrow = &z2(k, 0);
-    double* arow = &a(pk, 0);
-    for (index_t j = 0; j < l; ++j) arow[j * a.ld()] += d * zrow[j * z2.ld()];
-  }
-  util::FlopCounter::charge(static_cast<std::uint64_t>(2 * r * l));
-  la::gemm(la::Op::None, la::Op::None, 1.0, y_.block(m_, 0, m_, r), z2.view(), 1.0, b);
+  util::FlopCounter::charge(static_cast<std::uint64_t>(application_flops_per_column(rep_, m, r)) *
+                            static_cast<std::uint64_t>(l));
+  util::ByteCounter::charge(application_bytes(rep_, m, r, l));
 }
 
 void BlockReflector::apply_sequential(View a, View b) const {

@@ -15,7 +15,10 @@
 // quadrant form (paper section 6.4): the upper and lower row blocks A and B
 // of the generator live at different column offsets (the in-place virtual
 // shift), so U's quadrants / the top and bottom halves of V, Y are used
-// separately.
+// separately.  apply() packs those small factors once per call and sweeps
+// [A; B] in L1-sized column chunks, running every product of the form on
+// the level-3 micro-kernel -- the triangles through a packed trmm --
+// so each chunk is read and written once (docs/KERNELS.md).
 #pragma once
 
 #include <optional>
@@ -61,7 +64,11 @@ class BlockReflector {
 
   /// Applies the composite to the active generator columns:
   /// [A; B] := U [A; B] with A, B each an m x L view (possibly at different
-  /// physical offsets -- the split-quadrant application).
+  /// physical offsets -- the split-quadrant application).  Each column's
+  /// result is the same bits whatever L is and however the columns are
+  /// split across calls; packed kernels or direct loops are chosen from m
+  /// alone (KernelConfig::pack_min_m).  Charges the closed form
+  /// application_flops_per_column (core/flop_model.h) per column.
   void apply(View a, View b) const;
 
   /// The scalar reflectors (Sequential application / tests).
@@ -86,9 +93,6 @@ class BlockReflector {
   [[nodiscard]] std::optional<StepBreakdown> build_panel(View p, View q, index_t k0, index_t k1,
                                                          double breakdown_tol,
                                                          BlockReflector* panel_agg);
-  void apply_accumulated_u(View a, View b) const;
-  void apply_vy(View a, View b) const;
-  void apply_yty(View a, View b) const;
   void apply_sequential(View a, View b) const;
 
   Representation rep_;

@@ -111,25 +111,29 @@ double blocking_flops_impl(Representation rep, index_t m_, index_t k_) {
   return f;
 }
 
-double application_flops_impl(Representation rep, index_t m_, index_t p_, index_t k_) {
-  const double m = d(m_), k = d(k_), l = d(m_) * d(p_);
+double application_flops_per_column(Representation rep, index_t m_, index_t k_) {
+  const double m = d(m_), k = d(k_);
   switch (rep) {
     case Representation::AccumulatedU:
-      // Four m x m gemms against the m x l panel halves.
-      return 8 * m * m * l;
+      // The 2m x 2m composite against a column of [A; B].
+      return 8 * m * m;
     case Representation::VY1:
-      // Z = Y^T [A;B] (two gemms), pivot-sparse V_up (2kl), V_low gemm.
-      return (6 * m * k + 2 * k) * l;
+      // Z = Y^T [A;B] (depth 2m), pivot-sparse V_up (2k), V_low product.
+      return 6 * m * k + 2 * k;
     case Representation::VY2:
-      // Z gemm + diagonal Y_up (2kl), triangular V_up (k(k+1)l), V_low gemm.
-      return (4 * m * k + k * (k + 1) + 2 * k) * l;
+      // Z product + diagonal Y_up (2k), triangular V_up (k(k+1)), V_low product.
+      return 4 * m * k + k * (k + 1) + 2 * k;
     case Representation::YTY:
-      // Z gemm + diag (2kl), triangular T (k(k+1)l), diag (2kl), Y_low gemm.
-      return (4 * m * k + k * (k + 1) + 4 * k) * l;
+      // Z product + diag (2k), triangular T (k(k+1)), diag (2k), Y_low product.
+      return 4 * m * k + k * (k + 1) + 4 * k;
     case Representation::Sequential:
-      return k * (5 * m + 4) * l;
+      return k * (5 * m + 4);
   }
   return 0.0;
+}
+
+double application_flops_impl(Representation rep, index_t m, index_t p, index_t k) {
+  return application_flops_per_column(rep, m, k) * d(m) * d(p);
 }
 
 std::vector<util::PhaseModel> schur_phase_models(Representation rep, index_t n, index_t ms) {

@@ -58,6 +58,9 @@ double application_flops(Representation rep, index_t m, index_t p, index_t k);
 /// single-level model does not count.
 double blocking_flops_impl(Representation rep, index_t m, index_t k);
 double application_flops_impl(Representation rep, index_t m, index_t p, index_t k);
+/// application_flops_impl per generator column: what apply() charges for
+/// each column of [A; B] with k aggregated reflectors.
+double application_flops_per_column(Representation rep, index_t m, index_t k);
 
 /// Per-phase modeled flop budget of a full block Schur factorization of
 /// order n with working block size ms (the sequential single-level path of

@@ -6,7 +6,9 @@
 // closed-form models (eqs. 25-32) can be validated against reality.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "la/matrix.h"
 
@@ -54,6 +56,76 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b)
 
 /// Triangular matrix-vector solve: op(T) x = b in place (x := solution).
 void trsv(Uplo uplo, Op op, Diag diag, CView t, double* x);
+
+/// B := alpha op(T) B (Left) or B := alpha B op(T) (Right), T triangular.
+/// Only the `uplo` triangle of T is read.  Runs on the packed micro-kernel
+/// when T's order reaches KernelConfig::pack_min_m, skipping the
+/// micro-panels that lie wholly outside the triangle; smaller T use direct
+/// loops.  Charges n(n+1) flops per vector of B (n(n-1) for Unit).
+void trmm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b);
+
+// ----- packed left factors ------------------------------------------------
+// A product that applies one small factor to many column chunks (a block
+// reflector sweeping a wide generator) packs the factor once, into a
+// PackedLeft; gemm(PackedLeft, B, ...) then runs the micro-kernel on B's
+// columns in place.  Depth is never split, so each column of the product is
+// computed the same way whatever chunk it comes in.  With packed = false the
+// same calls run the seed kernels' direct loops on a plain copy of the
+// factor; the caller makes that choice from the factor's size alone.
+
+/// Grow-only 64-byte-aligned scratch (the micro-kernel loads A panels
+/// aligned).
+class PackBuffer {
+ public:
+  PackBuffer() = default;
+  PackBuffer(const PackBuffer&) = delete;
+  PackBuffer& operator=(const PackBuffer&) = delete;
+  ~PackBuffer();
+  /// At least `doubles` doubles; the contents survive only if it does not
+  /// grow.
+  double* get(std::size_t doubles);
+  [[nodiscard]] const double* data() const noexcept { return buf_; }
+
+ private:
+  double* buf_ = nullptr;
+  std::size_t cap_ = 0;
+};
+
+/// A left factor op(A) (rows x depth), or one triangle of it.
+class PackedLeft {
+ public:
+  /// op(A), with depth index l scaled by scale[l] when `scale` is given.
+  void pack(Op ta, CView a, bool packed, const double* scale = nullptr);
+  /// alpha times the `uplo` triangle of op(T) (unit diagonal for Unit).
+  /// The other triangle of T is never read, and micro-panels wholly inside
+  /// it are skipped.
+  void pack_triangle(Uplo uplo, Op op, Diag diag, double alpha, CView t, bool packed);
+
+ private:
+  friend void gemm(const PackedLeft& a, CView b, double beta, View c);
+  enum class Shape : std::uint8_t { Dense, Lower, Upper };  // of the packed op(A)
+  // Depth range [first, last) of micro-panel p: the columns of op(A) that
+  // can be nonzero in its rows.
+  [[nodiscard]] index_t first(index_t p) const noexcept;
+  [[nodiscard]] index_t last(index_t p) const noexcept;
+
+  PackBuffer buf_;
+  std::vector<index_t> offset_;  // packed: start of each micro-panel in buf_
+  index_t rows_ = 0, depth_ = 0;
+  bool packed_ = false;
+  Shape shape_ = Shape::Dense;
+  Op op_ = Op::None;  // direct dense: the copy keeps A's orientation
+};
+
+/// Y += diag(d) X: row i of X scaled by d[i], added into Y.  Each entry is
+/// one multiply and one add, rounded separately, whatever the SIMD width.
+/// Charges nothing: callers charge closed-form totals.
+void dgmm(const double* d, CView x, View y);
+
+/// C := A B (beta = 0) or C += A B (beta = 1).  A triangular A may write
+/// its product over B (C and B the same view: the in-place trmm); a dense
+/// one may not.  Charges nothing: callers charge closed-form totals.
+void gemm(const PackedLeft& a, CView b, double beta, View c);
 
 namespace detail {
 

@@ -9,15 +9,18 @@
 //   4. a dispatcher that routes small calls to direct scalar loops (the Schur
 //      hot shapes: 2m-row generator panels with m in {1..8}) and large calls
 //      to a ThreadPool-parallel 2-D tile grid,
-//   5. the public gemm/syrk_lower/trsm entry points, which keep the exact
-//      flop/byte charging semantics of the seed kernels: each charges a
-//      closed-form total once, on the calling thread, so counts are identical
-//      whether a call runs serially or fans out to the pool.
+//   5. the public gemm/syrk_lower/trsm/trmm entry points, which keep the
+//      exact flop/byte charging semantics of the seed kernels: each charges
+//      a closed-form total once, on the calling thread, so counts are
+//      identical whether a call runs serially or fans out to the pool.
 //
 // syrk_lower and trsm are blocked so their inner updates run through the
-// packed gemm engine; their O(blk^2) diagonal work stays scalar.
+// packed gemm engine; their O(blk^2) diagonal work stays scalar.  PackedLeft
+// keeps a small factor (or one triangle of it) packed across many products
+// with column chunks read in place: the block reflector apply and trmm.
 #include <algorithm>
 #include <cstdlib>
+#include <new>
 
 #include "la/blas.h"
 #include "la/kernel_config.h"
@@ -137,31 +140,8 @@ void accum_direct(Op ta, Op tb, double alpha, CView a, CView b, View c) {
 
 // ----- packing --------------------------------------------------------------
 
-// Grow-only 64-byte-aligned scratch; one per thread per operand, so the
-// packed panels of concurrent tiles never alias.
-class PackBuffer {
- public:
-  PackBuffer() = default;
-  PackBuffer(const PackBuffer&) = delete;
-  PackBuffer& operator=(const PackBuffer&) = delete;
-  ~PackBuffer() { std::free(buf_); }
-
-  double* get(std::size_t doubles) {
-    if (doubles > cap_) {
-      std::free(buf_);
-      // Round up so the byte size is a multiple of the 64-byte alignment
-      // (required by aligned_alloc) and regrowth is amortized.
-      cap_ = (doubles + 511) & ~std::size_t{511};
-      buf_ = static_cast<double*>(std::aligned_alloc(64, cap_ * sizeof(double)));
-    }
-    return buf_;
-  }
-
- private:
-  double* buf_ = nullptr;
-  std::size_t cap_ = 0;
-};
-
+// One scratch per thread per operand, so the packed panels of concurrent
+// tiles never alias.
 PackBuffer& pack_a_buffer() {
   thread_local PackBuffer buf;
   return buf;
@@ -204,9 +184,10 @@ void pack_a(Op ta, CView a, index_t ic, index_t pc, index_t mb, index_t kb, doub
   }
 }
 
-// Packs alpha * op(B)(pc:pc+kb, jc:jc+nb) into NR-column panels
-// (dst[l*NR + j]), short last panel zero-padded.  Folding alpha here costs
-// one multiply per packed element instead of one per micro-kernel flop.
+// Packs alpha * op(B)(pc:pc+kb, jc:jc+nb) into NR-column panels, each a
+// column-major kb x NR sliver (dst[j*kb + l]), short last panel
+// zero-padded.  Folding alpha here costs one multiply per packed element
+// instead of one per micro-kernel flop.
 void pack_b(Op tb, double alpha, CView b, index_t pc, index_t jc, index_t kb, index_t nb,
             double* dst) {
   for (index_t jr = 0; jr < nb; jr += NR) {
@@ -214,46 +195,52 @@ void pack_b(Op tb, double alpha, CView b, index_t pc, index_t jc, index_t kb, in
     if (tb == Op::None) {
       for (index_t j = 0; j < nr; ++j) {
         const double* src = b.col(jc + jr + j) + pc;
-        double* d = dst + j;
-        for (index_t l = 0; l < kb; ++l) d[l * NR] = alpha * src[l];
-      }
-      for (index_t j = nr; j < NR; ++j) {
-        double* d = dst + j;
-        for (index_t l = 0; l < kb; ++l) d[l * NR] = 0.0;
+        double* d = dst + j * kb;
+        for (index_t l = 0; l < kb; ++l) d[l] = alpha * src[l];
       }
     } else {
       // op(B)(l, c) = B(c, l): for fixed depth l the columns jr+j are
-      // consecutive rows of B's column pc+l, stride 1 on both sides.
+      // consecutive rows of B's column pc+l.
       for (index_t l = 0; l < kb; ++l) {
         const double* src = b.col(pc + l) + jc + jr;
-        double* d = dst + l * NR;
-        index_t j = 0;
-        for (; j < nr; ++j) d[j] = alpha * src[j];
-        for (; j < NR; ++j) d[j] = 0.0;
+        for (index_t j = 0; j < nr; ++j) dst[j * kb + l] = alpha * src[j];
       }
+    }
+    for (index_t j = nr; j < NR; ++j) {
+      double* d = dst + j * kb;
+      for (index_t l = 0; l < kb; ++l) d[l] = 0.0;
     }
     dst += NR * kb;
   }
 }
 
 // ----- micro-kernels --------------------------------------------------------
-// Contract: acc (column-major MR x NR, 64-byte aligned) := sum over l of
-// apanel[l*MR + i] * bpanel[l*NR + j].  Panels come from pack_a/pack_b, so
-// both are contiguous, aligned, and zero-padded; edge masking happens when
-// the caller adds acc into C.
+// Contract: the MR x NR tile at c (column stride ldc) := (add ? c : 0) +
+// sum over l of apanel[l*MR + i] * b[j*ldb + l].  The A panel comes from
+// pack_a (contiguous, aligned, zero-padded); the B sliver is any kb x NR
+// column-major block, a packed one from pack_b or columns read in place.
+// Edge tiles go through a scratch tile (run_tile).  Writing C from the
+// accumulators saves a round trip through memory, which matters at the
+// small depths of the Schur products.
 
-using UKernel = void (*)(index_t, const double*, const double*, double*);
+using UKernel = void (*)(index_t, const double*, const double*, index_t, double*, index_t,
+                         bool);
 
-void ukernel_generic(index_t kb, const double* ap, const double* bp, double* acc) {
-  for (index_t x = 0; x < MR * NR; ++x) acc[x] = 0.0;
+void ukernel_generic(index_t kb, const double* ap, const double* bp, index_t ldb, double* c,
+                     index_t ldc, bool add) {
+  double acc[MR * NR] = {};
   for (index_t l = 0; l < kb; ++l) {
     const double* al = ap + l * MR;
-    const double* bl = bp + l * NR;
     for (index_t j = 0; j < NR; ++j) {
-      const double bv = bl[j];
+      const double bv = bp[j * ldb + l];
       double* aj = acc + j * MR;
       for (index_t i = 0; i < MR; ++i) aj[i] += al[i] * bv;
     }
+  }
+  for (index_t j = 0; j < NR; ++j) {
+    double* cj = c + j * ldc;
+    const double* aj = acc + j * MR;
+    for (index_t i = 0; i < MR; ++i) cj[i] = add ? cj[i] + aj[i] : aj[i];
   }
 }
 
@@ -261,7 +248,14 @@ void ukernel_generic(index_t kb, const double* ap, const double* bp, double* acc
 // 8x6 FMA kernel: 12 accumulator ymm registers + 2 for the A slice + 1
 // broadcast = 15 of the 16 architectural registers, no spills.
 __attribute__((target("avx2,fma"))) void ukernel_avx2(index_t kb, const double* ap,
-                                                      const double* bp, double* acc) {
+                                                      const double* bp, index_t ldb,
+                                                      double* c, index_t ldc, bool add) {
+  const double* b0 = bp;
+  const double* b1 = bp + ldb;
+  const double* b2 = bp + 2 * ldb;
+  const double* b3 = bp + 3 * ldb;
+  const double* b4 = bp + 4 * ldb;
+  const double* b5 = bp + 5 * ldb;
   __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
   __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
   __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
@@ -271,39 +265,42 @@ __attribute__((target("avx2,fma"))) void ukernel_avx2(index_t kb, const double* 
   for (index_t l = 0; l < kb; ++l) {
     const __m256d a0 = _mm256_load_pd(ap);
     const __m256d a1 = _mm256_load_pd(ap + 4);
-    __m256d bv = _mm256_broadcast_sd(bp + 0);
+    __m256d bv = _mm256_broadcast_sd(b0 + l);
     c00 = _mm256_fmadd_pd(a0, bv, c00);
     c01 = _mm256_fmadd_pd(a1, bv, c01);
-    bv = _mm256_broadcast_sd(bp + 1);
+    bv = _mm256_broadcast_sd(b1 + l);
     c10 = _mm256_fmadd_pd(a0, bv, c10);
     c11 = _mm256_fmadd_pd(a1, bv, c11);
-    bv = _mm256_broadcast_sd(bp + 2);
+    bv = _mm256_broadcast_sd(b2 + l);
     c20 = _mm256_fmadd_pd(a0, bv, c20);
     c21 = _mm256_fmadd_pd(a1, bv, c21);
-    bv = _mm256_broadcast_sd(bp + 3);
+    bv = _mm256_broadcast_sd(b3 + l);
     c30 = _mm256_fmadd_pd(a0, bv, c30);
     c31 = _mm256_fmadd_pd(a1, bv, c31);
-    bv = _mm256_broadcast_sd(bp + 4);
+    bv = _mm256_broadcast_sd(b4 + l);
     c40 = _mm256_fmadd_pd(a0, bv, c40);
     c41 = _mm256_fmadd_pd(a1, bv, c41);
-    bv = _mm256_broadcast_sd(bp + 5);
+    bv = _mm256_broadcast_sd(b5 + l);
     c50 = _mm256_fmadd_pd(a0, bv, c50);
     c51 = _mm256_fmadd_pd(a1, bv, c51);
     ap += MR;
-    bp += NR;
   }
-  _mm256_store_pd(acc + 0, c00);
-  _mm256_store_pd(acc + 4, c01);
-  _mm256_store_pd(acc + 8, c10);
-  _mm256_store_pd(acc + 12, c11);
-  _mm256_store_pd(acc + 16, c20);
-  _mm256_store_pd(acc + 20, c21);
-  _mm256_store_pd(acc + 24, c30);
-  _mm256_store_pd(acc + 28, c31);
-  _mm256_store_pd(acc + 32, c40);
-  _mm256_store_pd(acc + 36, c41);
-  _mm256_store_pd(acc + 40, c50);
-  _mm256_store_pd(acc + 44, c51);
+  const auto out = [c, ldc, add](index_t j, __m256d lo, __m256d hi)
+                       __attribute__((target("avx2,fma"))) {
+    double* cj = c + j * ldc;
+    if (add) {
+      lo = _mm256_add_pd(_mm256_loadu_pd(cj), lo);
+      hi = _mm256_add_pd(_mm256_loadu_pd(cj + 4), hi);
+    }
+    _mm256_storeu_pd(cj, lo);
+    _mm256_storeu_pd(cj + 4, hi);
+  };
+  out(0, c00, c01);
+  out(1, c10, c11);
+  out(2, c20, c21);
+  out(3, c30, c31);
+  out(4, c40, c41);
+  out(5, c50, c51);
 }
 #endif  // BST_KERNEL_X86
 
@@ -317,24 +314,35 @@ UKernel pick_ukernel(const KernelConfig& cfg) {
   return &ukernel_generic;
 }
 
+// The mr x nr tile at c := (add ? c : 0) + one micro-kernel product; edge
+// tiles run the kernel into an aligned scratch tile and copy the live part.
+void run_tile(UKernel uk, index_t kb, const double* ap, const double* bp, index_t ldb,
+              double* c, index_t ldc, index_t mr, index_t nr, bool add) {
+  if (mr == MR && nr == NR) {
+    uk(kb, ap, bp, ldb, c, ldc, add);
+    return;
+  }
+  alignas(64) double acc[MR * NR];
+  uk(kb, ap, bp, ldb, acc, MR, false);
+  for (index_t j = 0; j < nr; ++j) {
+    double* cj = c + j * ldc;
+    const double* aj = acc + j * MR;
+    for (index_t i = 0; i < mr; ++i) cj[i] = add ? cj[i] + aj[i] : aj[i];
+  }
+}
+
 // ----- macro-kernel + cache blocking ----------------------------------------
 
 // C (mb x nb) += packed A block * packed B panel.
 void macro_kernel(UKernel uk, const double* ap, const double* bp, index_t mb, index_t nb,
                   index_t kb, View c) {
-  alignas(64) double acc[MR * NR];
   for (index_t jr = 0; jr < nb; jr += NR) {
     const double* bpanel = bp + (jr / NR) * (NR * kb);
     const index_t nr = std::min(NR, nb - jr);
     for (index_t ir = 0; ir < mb; ir += MR) {
       const double* apanel = ap + (ir / MR) * (MR * kb);
-      uk(kb, apanel, bpanel, acc);
-      const index_t mr = std::min(MR, mb - ir);
-      for (index_t j = 0; j < nr; ++j) {
-        double* cj = c.col(jr + j) + ir;
-        const double* aj = acc + j * MR;
-        for (index_t i = 0; i < mr; ++i) cj[i] += aj[i];
-      }
+      run_tile(uk, kb, apanel, bpanel, kb, c.col(jr) + ir, c.ld(), std::min(MR, mb - ir), nr,
+               true);
     }
   }
 }
@@ -737,6 +745,227 @@ void trsv(Uplo uplo, Op op, Diag diag, CView t, double* x) {
   // Half of T read, x read and written.  (trsm's blocked solves inherit the
   // same totals through their closed-form charges above.)
   util::ByteCounter::charge(static_cast<std::uint64_t>(8 * (n * (n + 1) / 2 + 2 * n)));
+}
+
+// ----- packed operands ------------------------------------------------------
+
+PackBuffer::~PackBuffer() { std::free(buf_); }
+
+double* PackBuffer::get(std::size_t doubles) {
+  if (doubles > cap_) {
+    std::free(buf_);
+    // Round up so the byte size is a multiple of the 64-byte alignment
+    // (required by aligned_alloc) and regrowth is amortized.
+    cap_ = (doubles + 511) & ~std::size_t{511};
+    buf_ = static_cast<double*>(std::aligned_alloc(64, cap_ * sizeof(double)));
+    if (buf_ == nullptr) throw std::bad_alloc();
+  }
+  return buf_;
+}
+
+index_t PackedLeft::first(index_t p) const noexcept {
+  return shape_ == Shape::Upper ? std::min(p * MR, depth_) : 0;
+}
+
+index_t PackedLeft::last(index_t p) const noexcept {
+  return shape_ == Shape::Lower ? std::min((p + 1) * MR, depth_) : depth_;
+}
+
+void PackedLeft::pack(Op ta, CView a, bool packed, const double* scale) {
+  rows_ = (ta == Op::None) ? a.rows() : a.cols();
+  depth_ = (ta == Op::None) ? a.cols() : a.rows();
+  packed_ = packed;
+  shape_ = Shape::Dense;
+  op_ = ta;
+  if (!packed) {
+    // A copy in A's own orientation, so the seed loops run unchanged.
+    double* d = buf_.get(static_cast<std::size_t>(rows_ * depth_));
+    for (index_t j = 0; j < a.cols(); ++j) {
+      for (index_t i = 0; i < a.rows(); ++i) {
+        const double s = scale == nullptr ? 1.0 : scale[ta == Op::None ? j : i];
+        d[j * a.rows() + i] = a(i, j) * s;
+      }
+    }
+    return;
+  }
+  const index_t np = panels(rows_, MR);
+  offset_.resize(static_cast<std::size_t>(np));
+  for (index_t p = 0; p < np; ++p) offset_[static_cast<std::size_t>(p)] = p * MR * depth_;
+  double* d = buf_.get(static_cast<std::size_t>(np * MR * depth_));
+  pack_a(ta, a, 0, 0, rows_, depth_, d);
+  if (scale == nullptr) return;
+  for (index_t p = 0; p < np; ++p) {
+    for (index_t l = 0; l < depth_; ++l) {
+      for (index_t i = 0; i < MR; ++i) d[(p * depth_ + l) * MR + i] *= scale[l];
+    }
+  }
+}
+
+void PackedLeft::pack_triangle(Uplo uplo, Op op, Diag diag, double alpha, CView t,
+                               bool packed) {
+  assert(t.rows() == t.cols());
+  const index_t n = t.rows();
+  rows_ = depth_ = n;
+  packed_ = packed;
+  shape_ = ((uplo == Uplo::Lower) == (op == Op::None)) ? Shape::Lower : Shape::Upper;
+  op_ = Op::None;
+  // Entry (i, k) of alpha op(T) inside the triangle, zero outside it: the
+  // other triangle of T is never read.
+  const auto entry = [&](index_t i, index_t k) {
+    if (i >= n || (shape_ == Shape::Lower ? k > i : k < i)) return 0.0;
+    if (i == k && diag == Diag::Unit) return alpha;
+    return alpha * (op == Op::None ? t(i, k) : t(k, i));
+  };
+  if (!packed) {
+    double* d = buf_.get(static_cast<std::size_t>(n * n));
+    for (index_t k = 0; k < n; ++k)
+      for (index_t i = 0; i < n; ++i) d[k * n + i] = entry(i, k);
+    return;
+  }
+  // Each micro-panel holds only its depth range [first, last): the panels
+  // of the other triangle are skipped, not multiplied as zeros.
+  const index_t np = panels(n, MR);
+  offset_.resize(static_cast<std::size_t>(np));
+  index_t total = 0;
+  for (index_t p = 0; p < np; ++p) {
+    offset_[static_cast<std::size_t>(p)] = total;
+    total += MR * (last(p) - first(p));
+  }
+  double* d = buf_.get(static_cast<std::size_t>(total));
+  for (index_t p = 0; p < np; ++p) {
+    double* dp = d + offset_[static_cast<std::size_t>(p)];
+    for (index_t l = first(p); l < last(p); ++l, dp += MR) {
+      for (index_t i = 0; i < MR; ++i) dp[i] = entry(p * MR + i, l);
+    }
+  }
+}
+
+namespace {
+
+// C := T X (beta 0) or C += T X (beta 1) for the direct copy of a triangle.
+// Each entry is one dot product over the triangle's columns, in increasing
+// order; rows run in the order that lets C alias X (lower: last row first).
+void trmm_direct(bool lower, const double* t, index_t n, CView x, double beta, View c) {
+  for (index_t j = 0; j < c.cols(); ++j) {
+    const double* xj = x.col(j);
+    double* cj = c.col(j);
+    for (index_t step = 0; step < n; ++step) {
+      const index_t i = lower ? n - 1 - step : step;
+      const index_t k0 = lower ? 0 : i, k1 = lower ? i + 1 : n;
+      double s = 0.0;
+      for (index_t k = k0; k < k1; ++k) s += t[k * n + i] * xj[k];
+      cj[i] = (beta == 0.0) ? s : cj[i] + s;
+    }
+  }
+}
+
+}  // namespace
+
+void gemm(const PackedLeft& a, CView b, double beta, View c) {
+  using Shape = PackedLeft::Shape;
+  assert(b.rows() == a.depth_ && c.rows() == a.rows_ && c.cols() == b.cols());
+  assert(beta == 0.0 || beta == 1.0);
+  const index_t m = a.rows_, n = b.cols(), k = a.depth_;
+  if (m == 0 || n == 0) return;
+  const double* ad = a.buf_.data();
+  if (!a.packed_) {
+    if (a.shape_ != Shape::Dense) {
+      trmm_direct(a.shape_ == Shape::Lower, ad, m, b, beta, c);
+      return;
+    }
+    if (beta == 0.0) set_zero(c);
+    const bool none = (a.op_ == Op::None);
+    accum_direct(a.op_, Op::None, 1.0, CView(ad, none ? m : k, none ? k : m, none ? m : k), b,
+                 c);
+    return;
+  }
+  const UKernel uk = pick_ukernel(KernelConfig::active());
+  const index_t np = panels(m, MR);
+  // A lower triangle sweeps its row panels bottom-up so C may alias B: a
+  // panel reads only rows of B that no finished panel has written.
+  const bool bottom_up = (a.shape_ == Shape::Lower);
+  for (index_t jr = 0; jr < n; jr += NR) {
+    const index_t nr = std::min(NR, n - jr);
+    // Full column panels are read in place; a short last one is copied
+    // into a zero-padded sliver so the kernel reads no column past B.
+    const double* bp = b.col(jr);
+    index_t ldb = b.ld();
+    if (nr < NR) {
+      double* pad = pack_b_buffer().get(static_cast<std::size_t>(k * NR));
+      for (index_t j = 0; j < nr; ++j) std::copy_n(b.col(jr + j), k, pad + j * k);
+      std::fill(pad + nr * k, pad + NR * k, 0.0);
+      bp = pad;
+      ldb = k;
+    }
+    for (index_t q = 0; q < np; ++q) {
+      const index_t p = bottom_up ? np - 1 - q : q;
+      const index_t l0 = a.first(p), ir = p * MR;
+      run_tile(uk, a.last(p) - l0, ad + a.offset_[static_cast<std::size_t>(p)], bp + l0, ldb,
+               c.col(jr) + ir, c.ld(), std::min(MR, m - ir), nr, beta != 0.0);
+    }
+  }
+}
+
+namespace {
+
+// Row by row, so the few rows of a small block (m = 1..3) each run one
+// long loop.
+void dgmm_generic(const double* d, CView x, View y) {
+  for (index_t i = 0; i < y.rows(); ++i) {
+    const double di = d[i];
+    const double* xi = x.data() + i;
+    double* yi = y.data() + i;
+    for (index_t j = 0; j < y.cols(); ++j) yi[j * y.ld()] += di * xi[j * x.ld()];
+  }
+}
+
+#if defined(BST_KERNEL_X86)
+// Multiply and add stay separate instructions (no FMA), so the result is
+// bitwise the generic loop's.
+__attribute__((target("avx2"))) void dgmm_avx2(const double* d, CView x, View y) {
+  const index_t r = y.rows();
+  for (index_t j = 0; j < y.cols(); ++j) {
+    const double* xj = x.col(j);
+    double* yj = y.col(j);
+    index_t i = 0;
+    for (; i + 4 <= r; i += 4) {
+      const __m256d p = _mm256_mul_pd(_mm256_loadu_pd(d + i), _mm256_loadu_pd(xj + i));
+      _mm256_storeu_pd(yj + i, _mm256_add_pd(_mm256_loadu_pd(yj + i), p));
+    }
+    for (; i < r; ++i) yj[i] += d[i] * xj[i];
+  }
+}
+#endif  // BST_KERNEL_X86
+
+}  // namespace
+
+void dgmm(const double* d, CView x, View y) {
+  assert(x.rows() == y.rows() && x.cols() == y.cols());
+#if defined(BST_KERNEL_X86)
+  static const bool has_simd = cpu_has_avx2_fma();
+  if (has_simd && KernelConfig::active().simd && y.rows() >= 4) return dgmm_avx2(d, x, y);
+#endif
+  dgmm_generic(d, x, y);
+}
+
+void trmm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b) {
+  const index_t m = b.rows(), n = b.cols();
+  if (side == Side::Right) {
+    // B op(T) = (op(T)^T B^T)^T: the left product on a transposed copy.
+    assert(t.rows() == n && t.cols() == n);
+    Mat bt = transpose(b);
+    trmm(Side::Left, uplo, op == Op::None ? Op::Trans : Op::None, diag, alpha, t, bt.view());
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) b(i, j) = bt(j, i);
+    return;
+  }
+  assert(t.rows() == m && t.cols() == m);
+  PackedLeft tri;
+  tri.pack_triangle(uplo, op, diag, alpha, t, m >= KernelConfig::active().pack_min_m);
+  gemm(tri, b, 0.0, b);
+  const auto terms = static_cast<std::uint64_t>(diag == Diag::Unit ? m * (m - 1) : m * (m + 1));
+  util::FlopCounter::charge(static_cast<std::uint64_t>(n) * terms);
+  util::ByteCounter::charge(static_cast<std::uint64_t>(8 * (m * (m + 1) / 2 + 2 * m * n)));
 }
 
 }  // namespace bst::la

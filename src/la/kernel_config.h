@@ -37,7 +37,9 @@ struct KernelConfig {
 
   // Size-based crossover: gemm calls with fewer than pack_min_flops total
   // flops (2mnk) or fewer than pack_min_m rows of op(A) use the direct
-  // register-blocked loops instead of packing.  The Schur hot shapes --
+  // register-blocked loops instead of packing.  The block reflector apply
+  // and trmm decide from pack_min_m alone (the factor's order), so a
+  // column's result never depends on how many columns share the call.  The Schur hot shapes --
   // 2m-row generator panels with m in {1..8} -- produce C tiles narrower
   // than the micro-kernel's mr rows, where zero-padded micro-tiles would
   // waste a large fraction of the SIMD lanes and the packing traffic is

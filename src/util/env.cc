@@ -170,6 +170,20 @@ std::string accepted(const Var& v) {
   return out + "in " + (v.lo_open ? "(" : "[") + lo + ", " + format_bound(v.hi, v.type) + "]";
 }
 
+void check() {
+  reject_undeclared();
+  for (const Var& v : kVars) {
+    if (value_of(v) == nullptr) continue;
+    switch (v.type) {
+      case Type::Integer: detail::integer(v.name); break;
+      case Type::Real: detail::real(v.name); break;
+      case Type::Switch: detail::flag(v.name); break;
+      case Type::String:
+      case Type::Choice: detail::text(v.name); break;
+    }
+  }
+}
+
 std::vector<std::pair<std::string, std::string>> in_effect() {
   std::vector<std::pair<std::string, std::string>> out;
   for (const Var& v : kVars) {

@@ -51,6 +51,12 @@ struct Var {
 /// "an integer in [0, 10000]", "a number > 0", "0 or 1".
 [[nodiscard]] std::string accepted(const Var& v);
 
+/// Reads every declared variable that is set through its declared type and
+/// range, and throws std::runtime_error on the first bad value (or on a set
+/// BST_* name the table lacks).  Binaries call it at startup, so a bad
+/// setting fails even when the module that reads it never runs.
+void check();
+
 /// The declared variables that are set to a non-empty value, as
 /// (name, value) sorted by name: the settings a report records.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> in_effect();

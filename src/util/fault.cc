@@ -1,5 +1,6 @@
 #include "util/fault.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cfenv>
 #include <chrono>
@@ -8,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -17,6 +20,10 @@ namespace bst::util {
 namespace {
 
 constexpr std::size_t kSiteMax = 32;
+
+// Every site the program fires; BST_FAULT may name no other.
+constexpr const char* kSites[] = {"admission", "dispatch", "cache_fill",
+                                  "schur_step", "refine",   "pcg"};
 
 std::atomic<bool> g_armed{false};
 char g_site[kSiteMax];
@@ -101,40 +108,37 @@ void Fault::reload() {
   if (!env::read("BST_FAULT", spec)) return;
 
   // <site>:<kind>[:<count>]
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%s", spec.c_str());
-  char* kind_s = std::strchr(buf, ':');
-  if (kind_s == nullptr) {
-    std::fprintf(stderr, "[bst_fault] malformed BST_FAULT '%s' (want site:kind[:count])\n",
-                 spec.c_str());
-    return;
+  const auto bad = [&](const std::string& why) {
+    return std::runtime_error("BST_FAULT: " + why + " in '" + spec +
+                              "' (want site:kind[:count])");
+  };
+  const std::size_t c1 = spec.find(':');
+  if (c1 == std::string::npos) throw bad("no ':'");
+  const std::size_t c2 = spec.find(':', c1 + 1);
+  const std::string site = spec.substr(0, c1);
+  const std::string kind_s = spec.substr(c1 + 1, c2 == std::string::npos ? c2 : c2 - c1 - 1);
+
+  if (std::none_of(std::begin(kSites), std::end(kSites),
+                   [&](const char* known) { return site == known; })) {
+    throw bad("unknown site '" + site + "'");
   }
-  *kind_s++ = '\0';
-  char* count_s = std::strchr(kind_s, ':');
-  if (count_s != nullptr) *count_s++ = '\0';
 
   FaultKind kind = FaultKind::kNone;
-  if (std::strcmp(kind_s, "crash") == 0) kind = FaultKind::kCrash;
-  else if (std::strcmp(kind_s, "hang") == 0) kind = FaultKind::kHang;
-  else if (std::strcmp(kind_s, "fp-trap") == 0) kind = FaultKind::kFpTrap;
-  else if (std::strcmp(kind_s, "slow") == 0) kind = FaultKind::kSlow;
-  if (kind == FaultKind::kNone) {
-    std::fprintf(stderr, "[bst_fault] unknown fault kind '%s' in BST_FAULT\n", kind_s);
-    return;
+  for (FaultKind k : {FaultKind::kCrash, FaultKind::kHang, FaultKind::kFpTrap, FaultKind::kSlow}) {
+    if (kind_s == kind_name(k)) kind = k;
   }
+  if (kind == FaultKind::kNone) throw bad("unknown kind '" + kind_s + "'");
 
   std::uint64_t count = 1;
-  if (count_s != nullptr && *count_s != '\0') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(count_s, &end, 10);
-    if (end == count_s || n == 0) {
-      std::fprintf(stderr, "[bst_fault] bad count '%s' in BST_FAULT\n", count_s);
-      return;
-    }
-    count = static_cast<std::uint64_t>(n);
+  if (c2 != std::string::npos) {
+    const std::string count_s = spec.substr(c2 + 1);
+    const bool digits = !count_s.empty() && count_s.size() <= 18 &&
+                        count_s.find_first_not_of("0123456789") == std::string::npos;
+    if (digits) count = std::stoull(count_s);
+    if (!digits || count == 0) throw bad("count '" + count_s + "' is not a whole number >= 1");
   }
 
-  std::snprintf(g_site, sizeof g_site, "%.31s", buf);  // site names are short
+  std::snprintf(g_site, sizeof g_site, "%s", site.c_str());
   g_kind = kind;
   g_count = count;
   std::snprintf(g_describe, sizeof g_describe, "%s:%s:%llu", g_site, kind_name(kind),

@@ -12,8 +12,10 @@
 //   slow     sleeps BST_FAULT_SLOW_MS (default 50) on every hit from
 //            `count` on -> exercises the slow-request/SLO paths
 //
-// Sites (docs/OBSERVABILITY.md keeps the catalog): admission, dispatch,
-// cache_fill, schur_step, refine.  `count` defaults to 1 (first hit).
+// Sites (util/fault.cc keeps the list, docs/OBSERVABILITY.md the catalog):
+// admission, dispatch, cache_fill, schur_step, refine, pcg.  `count` is a
+// whole number >= 1 and defaults to 1 (first hit).  A spec with no ':', an
+// unknown site or kind, or a bad count is an error, not a disarmed fault.
 //
 // Exactly one site can be armed per process; parsing happens once at load
 // time (reload() re-parses for tests).
@@ -36,9 +38,10 @@ class Fault {
   static void fire(const char* site) noexcept;
 
   /// Re-parses BST_FAULT / BST_FAULT_*_MS from the environment (util/env.h;
-  /// a bad value throws std::runtime_error naming the variable, and at load
-  /// time ends the process with that message).  Tests use this after
-  /// setenv(); death tests call it inside the forked child.
+  /// a bad value or spec throws std::runtime_error naming the variable and
+  /// leaves the fault disarmed; at load time it ends the process with that
+  /// message).  Tests use this after setenv(); death tests call it inside
+  /// the forked child.
   static void reload();
 
   /// "site:kind:count" of the armed fault, or "" when disarmed.

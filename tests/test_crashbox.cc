@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -259,6 +260,34 @@ TEST(Fault, DisarmedByDefaultAndSlowFiresEveryHit) {
   EXPECT_GE(t2 - t1, std::chrono::milliseconds(30));
 }
 
+// A malformed spec is an error naming BST_FAULT, never a silently disarmed
+// (or wrongly armed) fault: no ':', an unknown site or kind, a count that is
+// not a whole number >= 1.
+TEST(Fault, MalformedSpecsThrowAndStayDisarmed) {
+  FaultDisarm disarm;
+  for (const char* spec : {"schur_step", "schur-step:crash", "smoke:crash", "schur_step:boom",
+                           "schur_step:slow:3x", "schur_step:slow:0", "schur_step:slow:",
+                           "schur_step:slow:-1", "refine:hang:1.5"}) {
+    ::setenv("BST_FAULT", "admission:slow:2", 1);
+    Fault::reload();
+    ASSERT_TRUE(Fault::armed());
+    ::setenv("BST_FAULT", spec, 1);
+    try {
+      Fault::reload();
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("BST_FAULT:", 0), 0u) << e.what();
+    }
+    EXPECT_FALSE(Fault::armed()) << spec;
+    EXPECT_STREQ(Fault::describe(), "") << spec;
+  }
+  for (const char* spec : {"pcg:slow", "cache_fill:hang:3", "dispatch:fp-trap:12"}) {
+    ::setenv("BST_FAULT", spec, 1);
+    EXPECT_NO_THROW(Fault::reload()) << spec;
+    EXPECT_TRUE(Fault::armed()) << spec;
+  }
+}
+
 // Forked smoke tests: the child arms a fault, fires it, and dies on the
 // expected signal; the parent asserts the crash report it left decodes to
 // the victim request.  A manual fork keeps the report path predictable
@@ -270,7 +299,7 @@ std::string child_report(const std::string& dir, const char* fault_spec, int exp
     Fault::reload();
     Crashbox::install(dir.c_str());
     Crashbox::request_begin(77, ReqPhase::kFactor);
-    Fault::fire("smoke");
+    Fault::fire("schur_step");
     ::_exit(9);
   }
   int status = 0;
@@ -284,7 +313,7 @@ std::string child_report(const std::string& dir, const char* fault_spec, int exp
 
 TEST(FaultSmoke, InjectedSegfaultLeavesDecodableReport) {
   const std::string dir = make_crash_dir("segv");
-  const std::string path = child_report(dir, "smoke:crash", SIGSEGV);
+  const std::string path = child_report(dir, "schur_step:crash", SIGSEGV);
   const CrashReport rep = read_crash_report(path);
   EXPECT_EQ(rep.signal, SIGSEGV);
   EXPECT_EQ(rep.signal_name, "SIGSEGV");
@@ -298,7 +327,7 @@ TEST(FaultSmoke, InjectedSegfaultLeavesDecodableReport) {
 
 TEST(FaultSmoke, InjectedFpTrapLeavesDecodableReport) {
   const std::string dir = make_crash_dir("fpe");
-  const std::string path = child_report(dir, "smoke:fp-trap", SIGFPE);
+  const std::string path = child_report(dir, "schur_step:fp-trap", SIGFPE);
   const CrashReport rep = read_crash_report(path);
   EXPECT_EQ(rep.signal, SIGFPE);
   EXPECT_EQ(rep.signal_name, "SIGFPE");

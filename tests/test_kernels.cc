@@ -472,6 +472,136 @@ TEST(KernelTrsv, AllCombosResidual) {
   }
 }
 
+// ----- trmm and packed left factors -----------------------------------------
+
+// alpha op(T) B (Left) or alpha B op(T) (Right) in long double, reading only
+// the `uplo` triangle of T (and not its diagonal for Unit).
+Mat ref_trmm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, CView b, Mat& mag) {
+  const index_t n = t.rows();
+  const auto opt = [&](index_t i, index_t k) -> long double {
+    const index_t r = (op == Op::None) ? i : k, c = (op == Op::None) ? k : i;
+    if (r == c) return diag == Diag::Unit ? 1.0L : t(r, c);
+    return (uplo == Uplo::Lower ? r > c : r < c) ? t(r, c) : 0.0L;
+  };
+  Mat out(b.rows(), b.cols());
+  mag = Mat(b.rows(), b.cols());
+  for (index_t j = 0; j < b.cols(); ++j)
+    for (index_t i = 0; i < b.rows(); ++i) {
+      long double s = 0.0L, sa = 0.0L;
+      for (index_t k = 0; k < n; ++k) {
+        const long double p = side == Side::Left ? opt(i, k) * b(k, j) : b(i, k) * opt(k, j);
+        s += p;
+        sa += std::fabs(p);
+      }
+      out(i, j) = static_cast<double>(alpha * s);
+      mag(i, j) = static_cast<double>(std::fabs(alpha) * sa);
+    }
+  return out;
+}
+
+// Every side/uplo/op/diag at orders on both sides of pack_min_m: the packed
+// path skips the micro-panels outside the triangle, so NaN there (and on a
+// unit diagonal) must never reach the result.  The charges are the closed
+// forms n(n+1) (n(n-1) for Unit) per vector of B.
+TEST(KernelTrmm, AllCombosVsLongDouble) {
+  util::Rng rng(4242);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Side side : {Side::Left, Side::Right})
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      for (Op op : kOps)
+        for (Diag diag : {Diag::NonUnit, Diag::Unit})
+          for (index_t n : {1, 3, 4, 5, 8, 16, 17, 32})
+            for (index_t other : {1, 7, 13}) {
+              Mat t(n, n);
+              for (index_t j = 0; j < n; ++j)
+                for (index_t i = 0; i < n; ++i) {
+                  const bool inside = uplo == Uplo::Lower ? i > j : i < j;
+                  t(i, j) = (inside || (i == j && diag == Diag::NonUnit)) ? rng.uniform(-1, 1)
+                                                                          : nan;
+                }
+              const index_t rows = side == Side::Left ? n : other;
+              const index_t cols = side == Side::Left ? other : n;
+              const Mat b0 = random_matrix(rows, cols, rng);
+              const double alpha = (n % 2 == 0) ? 1.0 : -0.75;
+              Mat mag;
+              const Mat ref = ref_trmm(side, uplo, op, diag, alpha, t.view(), b0.view(), mag);
+              Mat b = b0;
+              std::uint64_t bytes = 0;
+              const std::uint64_t flops =
+                  flops_of([&] { trmm(side, uplo, op, diag, alpha, t.view(), b.view()); }, &bytes);
+              const auto vectors = static_cast<std::uint64_t>(side == Side::Left ? cols : rows);
+              const auto terms = static_cast<std::uint64_t>(diag == Diag::Unit ? n * (n - 1)
+                                                                               : n * (n + 1));
+              EXPECT_EQ(flops, vectors * terms);
+              EXPECT_EQ(bytes, static_cast<std::uint64_t>(8 * (n * (n + 1) / 2)) +
+                                   16 * vectors * static_cast<std::uint64_t>(n));
+              expect_close(b.view(), ref, mag, n, "trmm");
+            }
+}
+
+// The dense packed factor on the micro-kernel and on the direct loops, with
+// a scale folded into its depth, against the naive product; then the same
+// columns computed two at a time must match the whole call bit for bit.
+TEST(KernelPackedLeft, DenseProductAndColumnIndependence) {
+  util::Rng rng(99);
+  for (bool packed : {true, false})
+    for (Op op : kOps)
+      for (index_t m : {1, 5, 8, 17, 33}) {
+        const index_t k = 11, n = 29;
+        const Mat a = op == Op::None ? random_matrix(m, k, rng) : random_matrix(k, m, rng);
+        std::vector<double> scale(static_cast<std::size_t>(k));
+        for (double& v : scale) v = rng.uniform(-2.0, 2.0);
+        Mat as(a.rows(), a.cols());
+        for (index_t j = 0; j < a.cols(); ++j)
+          for (index_t i = 0; i < a.rows(); ++i)
+            as(i, j) = a(i, j) * scale[static_cast<std::size_t>(op == Op::None ? j : i)];
+        const Mat b = random_matrix(k, n, rng);
+        const Mat c0 = random_matrix(m, n, rng);
+        PackedLeft pl;
+        pl.pack(op, a.view(), packed, scale.data());
+        for (double beta : {0.0, 1.0}) {
+          Mat ref, mag;
+          naive_gemm(op, Op::None, 1.0, as.view(), b.view(), beta, c0.view(), ref, mag);
+          Mat c = c0;
+          gemm(pl, b.view(), beta, c.view());
+          expect_close(c.view(), ref, mag, k, "packed left");
+          Mat c2 = c0;
+          for (index_t j0 = 0; j0 < n; j0 += 2) {
+            const index_t w = std::min<index_t>(2, n - j0);
+            gemm(pl, b.block(0, j0, k, w), beta, c2.block(0, j0, m, w));
+          }
+          EXPECT_EQ(std::memcmp(c.data(), c2.data(),
+                                static_cast<std::size_t>(m * n) * sizeof(double)),
+                    0);
+        }
+      }
+}
+
+// dgmm rounds each multiply and add separately: the AVX2 path is bitwise
+// the portable loop.
+TEST(KernelDgmm, SimdMatchesPortableBitwise) {
+  util::Rng rng(7);
+  for (index_t r : {1, 3, 4, 9, 16, 17}) {
+    const Mat x = random_matrix(r, 11, rng), y0 = random_matrix(r, 11, rng);
+    std::vector<double> d(static_cast<std::size_t>(r));
+    for (double& v : d) v = rng.uniform(-1.0, 1.0);
+    Mat want = y0;
+    for (index_t j = 0; j < 11; ++j)
+      for (index_t i = 0; i < r; ++i) want(i, j) += d[static_cast<std::size_t>(i)] * x(i, j);
+    for (bool simd : {true, false}) {
+      ConfigGuard guard;
+      KernelConfig cfg = KernelConfig::active();
+      cfg.simd = simd;
+      KernelConfig::set_active(cfg);
+      Mat y = y0;
+      dgmm(d.data(), x.view(), y.view());
+      EXPECT_EQ(std::memcmp(y.data(), want.data(), static_cast<std::size_t>(r * 11) * sizeof(double)),
+                0)
+          << "r=" << r << " simd=" << simd;
+    }
+  }
+}
+
 TEST(KernelCounts, ThreadedEqualsSerialCharges) {
   // The same call, once with threading disabled and once with the threshold
   // at 1 (fans out whenever the pool has threads; on a 1-thread pool both

@@ -47,6 +47,7 @@
 #include <iostream>
 
 #include "bst.h"
+#include "util/env.h"
 
 using namespace bst;
 
@@ -242,6 +243,9 @@ int main(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   try {
+    // Every set BST_* variable is checked here, not only those whose module
+    // this run reaches (the stall guard and the exporter never start here).
+    util::env::check();
     if (cli.has("help")) return help();
     if (cli.has("fingerprint")) {
       // CI cache key for calibration profiles: stable for a given
