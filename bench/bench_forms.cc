@@ -9,7 +9,7 @@
 // CI gates the measured order at one thread: VY2 and YTY within 5% of VY1
 // or faster, VY1 faster than U.
 //
-//   bench_forms [--p=64] [--m=16] [--m2=32] [--p2=32] [--rounds=5]
+//   bench_forms [--p=64] [--m=16] [--m2=32] [--p2=32]
 #include <algorithm>
 #include <cctype>
 #include <iostream>
@@ -23,6 +23,9 @@ using namespace bst;
 using core::Representation;
 
 namespace {
+
+// Timed rounds per representation; each keeps its best.
+constexpr int kRounds = 5;
 
 void model_table(la::index_t p, util::PerfReport& report) {
   util::Table build("Blocking flops to form the step reflector (k = m), eqs. 25-28");
@@ -50,8 +53,8 @@ void model_table(la::index_t p, util::PerfReport& report) {
 // Wall time of a full factorization per representation, sequential
 // included.  block_schur_stream with an empty sink keeps R's page faults
 // out of the clock, the representations take turns in every round, and
-// each keeps its best of `rounds`.  Reported as forms_m<m>_<rep>_ms.
-void measured_table(la::index_t m, la::index_t p, int rounds, util::PerfReport& report) {
+// each keeps its best of kRounds.  Reported as forms_m<m>_<rep>_ms.
+void measured_table(la::index_t m, la::index_t p, util::PerfReport& report) {
   toeplitz::BlockToeplitz t =
       toeplitz::random_spd_block(m, p, 2, /*seed=*/7).with_block_size(m);
   constexpr Representation kTimed[] = {Representation::AccumulatedU, Representation::VY1,
@@ -60,7 +63,7 @@ void measured_table(la::index_t m, la::index_t p, int rounds, util::PerfReport& 
   double best[std::size(kTimed)];
   std::uint64_t flops[std::size(kTimed)] = {};
   std::fill(std::begin(best), std::end(best), 1e300);
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     for (std::size_t i = 0; i < std::size(kTimed); ++i) {
       core::SchurOptions opt;
       opt.rep = kTimed[i];
@@ -70,7 +73,7 @@ void measured_table(la::index_t m, la::index_t p, int rounds, util::PerfReport& 
     }
   }
   util::Table tab("Measured: full factorization per representation (best of " +
-                  std::to_string(rounds) + ", interleaved)");
+                  std::to_string(kRounds) + ", interleaved)");
   tab.header({"rep", "n", "m", "flops (counted)", "time (ms)", "GFLOP/s"});
   for (std::size_t i = 0; i < std::size(kTimed); ++i) {
     std::string name = core::to_string(kTimed[i]);
@@ -96,9 +99,8 @@ int main(int argc, char** argv) {
   const double run_t0 = util::wall_seconds();
   std::cout << "# bench_forms: representation tradeoffs (paper section 6)\n";
   model_table(p, report);
-  const int rounds = static_cast<int>(cli.get_int("rounds", 5));
-  measured_table(cli.get_int("m", 16), p, rounds, report);
-  measured_table(cli.get_int("m2", 32), cli.get_int("p2", 32), rounds, report);
+  measured_table(cli.get_int("m", 16), p, report);
+  measured_table(cli.get_int("m2", 32), cli.get_int("p2", 32), report);
   report.metric("time_s", util::wall_seconds() - run_t0);
   obs.finish(report);
   obs.write_default_json(report, "BENCH_forms.json");

@@ -7,6 +7,7 @@
 #include "la/blas.h"
 #include "la/kernel_config.h"
 #include "util/flops.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace bst::core {
@@ -271,13 +272,13 @@ std::uint64_t application_bytes(Representation rep, index_t m, index_t r, index_
   return 0;
 }
 
-// The per-thread scratch of apply(): the packed factors, the diagonals and
-// the chunk's Z and T Z.  Grow-only, so once a thread has applied one step
-// its later applies allocate nothing.
+// The per-thread scratch of apply(): the packed factors, the diagonals,
+// YTY's folded update factors and the chunk's Z and T Z.  Grow-only, so once
+// a thread has applied one step its later applies allocate nothing.
 struct ApplyScratch {
   la::PackedLeft f[4];
   std::vector<double> d, dz;
-  la::PackBuffer work;
+  la::PackBuffer fold, work;
 };
 
 ApplyScratch& apply_scratch() {
@@ -303,13 +304,17 @@ void BlockReflector::apply(View a, View b) const {
   // then never depends on how many columns come with it.
   const la::KernelConfig& cfg = la::KernelConfig::active();
   const bool packed = m >= cfg.pack_min_m;
-  const bool odd = (r - 1) % 2 == 1;  // YTY: W^{r-1} flips the signed rows
+  // YTY's Z = Y^T W^{r-1} [A; B]: W^{r-1} flips the signed rows when r is
+  // even.  On the direct loops YTY forms T Z as its own product.
+  const bool odd = rep_ == Representation::YTY && (r - 1) % 2 == 1;
+  const bool tz_pass = rep_ == Representation::YTY && !packed;
   // The small factors, packed once per call.  The upper halves carry the
   // sparsity of paper Figs. 3-4 within the pivot rows:
   //   VY1: V_up is diagonal, Y_up dense;
   //   VY2: Y_up is diagonal, V_up lower triangular;
   //   YTY: Y_up is diagonal, T lower triangular.
-  // d holds the diagonal one (and dz, for YTY, its W^{r-1}-signed copy).
+  // d holds the diagonal one and dz its copy that forms Z (W^{r-1}-signed
+  // for YTY).
   ApplyScratch& scratch = apply_scratch();
   la::PackedLeft* f = scratch.f;
   std::vector<double>& d = scratch.d;
@@ -321,9 +326,6 @@ void BlockReflector::apply(View a, View b) const {
     d[kk] = (rep_ == Representation::VY1) ? v_(p0 + k, k) : y_(p0 + k, k);
     dz[kk] = odd ? d[kk] * sig_[static_cast<std::size_t>(p0 + k)] : d[kk];
   }
-  const auto lower = [&](la::CView t, la::PackedLeft& out) {
-    out.pack_triangle(la::Uplo::Lower, la::Op::None, la::Diag::NonUnit, 1.0, t, packed);
-  };
   switch (rep_) {
     case Representation::AccumulatedU:
       for (index_t q = 0; q < 4; ++q) {
@@ -337,16 +339,31 @@ void BlockReflector::apply(View a, View b) const {
       break;
     case Representation::VY2:
       f[0].pack(la::Op::Trans, y_.block(m, 0, m, r), packed);
-      lower(v_.block(p0, 0, r, r), f[1]);
+      f[1].pack_lower(v_.block(p0, 0, r, r), packed);
       f[2].pack(la::Op::None, v_.block(m, 0, m, r), packed);
       break;
-    case Representation::YTY:
-      // Z = Y^T W^{r-1} [A; B]: the signs of W^{r-1} fold into Y_low^T.
+    case Representation::YTY: {
+      // The signs of W^{r-1} fold into the packed Y_low^T.
       f[0].pack(la::Op::Trans, y_.block(m, 0, m, r), packed,
                 odd ? &sig_[static_cast<std::size_t>(m)] : nullptr);
-      lower(t_.block(0, 0, r, r), f[1]);
       f[2].pack(la::Op::None, y_.block(m, 0, m, r), packed);
+      if (tz_pass) {
+        f[1].pack_lower(t_.block(0, 0, r, r), false);
+        break;
+      }
+      // Y T Z = V Z with V_up = diag(Y_up) T and V_low = Y_low T, formed
+      // once per call, so each chunk runs VY2's three products.  T's strict
+      // upper triangle is zero (t_ starts zeroed), so the dense product
+      // reads zeros there.
+      View v(scratch.fold.get(static_cast<std::size_t>((r + m) * r)), r + m, r, r + m);
+      for (index_t k = 0; k < r; ++k) {
+        for (index_t i = k; i < r; ++i) v(i, k) = d[static_cast<std::size_t>(i)] * t_(i, k);
+      }
+      la::gemm(f[2], t_.block(0, 0, r, r), 0.0, v.block(r, 0, m, r));
+      f[1].pack_lower(v.block(0, 0, r, r), true);
+      f[2].pack(la::Op::None, v.block(r, 0, m, r), true);
       break;
+    }
     case Representation::Sequential:
       break;
   }
@@ -357,11 +374,12 @@ void BlockReflector::apply(View a, View b) const {
   const index_t nr = la::kMicroCols;
   const index_t w =
       std::min(l, std::max(nr, cfg.kc * (la::kMicroRows + nr) / (4 * m) / nr * nr));
-  // U: the new [A; B]; the others: Z and T Z.  Every entry read is
-  // written first, so the scratch needs no clearing.
-  View work(scratch.work.get(static_cast<std::size_t>(2 * m * w)), 2 * m, w, 2 * m);
-  for (index_t j0 = 0; j0 < l; j0 += w) {
+  const auto chunk = [&](index_t j0) {
     const index_t wc = std::min(w, l - j0);
+    // U: the new [A; B]; the others: Z and T Z, in the scratch of the
+    // thread that runs the chunk.  Every entry read is written first, so
+    // the scratch needs no clearing.
+    View work(apply_scratch().work.get(static_cast<std::size_t>(2 * m * w)), 2 * m, w, 2 * m);
     View ac = a.block(0, j0, m, wc), bc = b.block(0, j0, m, wc);
     View ap = ac.block(p0, 0, r, wc);  // A's pivot rows
     View z = work.block(0, 0, r, wc), tz = work.block(r, 0, r, wc);
@@ -387,29 +405,39 @@ void BlockReflector::apply(View a, View b) const {
         la::gemm(f[2], z, 1.0, bc);
         break;
       case Representation::VY2:
-        // Z = Y_up^T A + Y_low^T B;  A := W^r A + V_up Z (the packed trmm);
-        // B := W^r B + V_low Z.
+      case Representation::YTY:
+        // Z = Y_up^T A + Y_low^T B (YTY: Y^T W^{r-1} [A; B]);
+        // A := W^r A + V_up Z;  B := W^r B + V_low Z, with YTY's folded V.
         la::gemm(f[0], bc, 0.0, z);
-        la::dgmm(d.data(), ap, z);
+        la::dgmm(dz.data(), ap, z);
+        if (tz_pass) {
+          // The direct loops: T Z, then A += Y_up T Z and B += Y_low T Z.
+          la::gemm(f[1], z, 0.0, tz);
+          scale_rows_wk(ac, sig_, 0, r);
+          scale_rows_wk(bc, sig_, m, r);
+          la::dgmm(d.data(), tz, ap);
+          la::gemm(f[2], tz, 1.0, bc);
+          break;
+        }
         scale_rows_wk(ac, sig_, 0, r);
         scale_rows_wk(bc, sig_, m, r);
         la::gemm(f[1], z, 1.0, ap);
         la::gemm(f[2], z, 1.0, bc);
         break;
-      case Representation::YTY:
-        // Z = Y^T W^{r-1} [A; B];  T Z (the packed trmm);
-        // A := W^r A + Y_up T Z;  B := W^r B + Y_low T Z.
-        la::gemm(f[0], bc, 0.0, z);
-        la::dgmm(dz.data(), ap, z);
-        la::gemm(f[1], z, 0.0, tz);
-        scale_rows_wk(ac, sig_, 0, r);
-        scale_rows_wk(bc, sig_, m, r);
-        la::dgmm(d.data(), tz, ap);
-        la::gemm(f[2], tz, 1.0, bc);
-        break;
       case Representation::Sequential:
         break;
     }
+  };
+  // Chunks write disjoint columns, so a call big enough for the kernels'
+  // pool rule spreads them over the pool without changing a bit.
+  const double flops = application_flops_per_column(rep_, m, r) * static_cast<double>(l);
+  const index_t chunks = (l + w - 1) / w;
+  if (chunks > 1 && la::want_parallel(flops)) {
+    util::ThreadPool::global().parallel_for(
+        0, static_cast<std::size_t>(chunks),
+        [&](std::size_t c) { chunk(static_cast<index_t>(c) * w); });
+  } else {
+    for (index_t j0 = 0; j0 < l; j0 += w) chunk(j0);
   }
   util::FlopCounter::charge(static_cast<std::uint64_t>(application_flops_per_column(rep_, m, r)) *
                             static_cast<std::uint64_t>(l));

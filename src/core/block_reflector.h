@@ -17,8 +17,8 @@
 // shift), so U's quadrants / the top and bottom halves of V, Y are used
 // separately.  apply() packs those small factors once per call and sweeps
 // [A; B] in L1-sized column chunks, running every product of the form on
-// the level-3 micro-kernel -- the triangles through a packed trmm --
-// so each chunk is read and written once (docs/KERNELS.md).
+// the level-3 micro-kernel -- the triangles packed without the blocks above
+// the diagonal -- so each chunk is read and written once (docs/KERNELS.md).
 #pragma once
 
 #include <optional>

@@ -57,12 +57,10 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b)
 /// Triangular matrix-vector solve: op(T) x = b in place (x := solution).
 void trsv(Uplo uplo, Op op, Diag diag, CView t, double* x);
 
-/// B := alpha op(T) B (Left) or B := alpha B op(T) (Right), T triangular.
-/// Only the `uplo` triangle of T is read.  Runs on the packed micro-kernel
-/// when T's order reaches KernelConfig::pack_min_m, skipping the
-/// micro-panels that lie wholly outside the triangle; smaller T use direct
-/// loops.  Charges n(n+1) flops per vector of B (n(n-1) for Unit).
-void trmm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b);
+/// True when a kernel call of `flops` fans out to util::ThreadPool::global():
+/// at least KernelConfig::parallel_min_flops, a pool of more than one
+/// thread, and a caller not already inside a parallel region.
+bool want_parallel(double flops);
 
 // ----- packed left factors ------------------------------------------------
 // A product that applies one small factor to many column chunks (a block
@@ -91,29 +89,27 @@ class PackBuffer {
   std::size_t cap_ = 0;
 };
 
-/// A left factor op(A) (rows x depth), or one triangle of it.
+/// A left factor op(A) (rows x depth), or the lower triangle of one.
 class PackedLeft {
  public:
   /// op(A), with depth index l scaled by scale[l] when `scale` is given.
   void pack(Op ta, CView a, bool packed, const double* scale = nullptr);
-  /// alpha times the `uplo` triangle of op(T) (unit diagonal for Unit).
-  /// The other triangle of T is never read, and micro-panels wholly inside
-  /// it are skipped.
-  void pack_triangle(Uplo uplo, Op op, Diag diag, double alpha, CView t, bool packed);
+  /// The lower triangle of the square T, diagonal included.  T's strict
+  /// upper triangle is never read, and the packed micro-panels stop at the
+  /// diagonal, so the products skip the blocks above it.
+  void pack_lower(CView t, bool packed);
 
  private:
   friend void gemm(const PackedLeft& a, CView b, double beta, View c);
-  enum class Shape : std::uint8_t { Dense, Lower, Upper };  // of the packed op(A)
-  // Depth range [first, last) of micro-panel p: the columns of op(A) that
-  // can be nonzero in its rows.
-  [[nodiscard]] index_t first(index_t p) const noexcept;
+  // Depth of micro-panel p: the columns of op(A) that can be nonzero in its
+  // rows, [0, last(p)).
   [[nodiscard]] index_t last(index_t p) const noexcept;
 
   PackBuffer buf_;
   std::vector<index_t> offset_;  // packed: start of each micro-panel in buf_
   index_t rows_ = 0, depth_ = 0;
   bool packed_ = false;
-  Shape shape_ = Shape::Dense;
+  bool lower_ = false;
   Op op_ = Op::None;  // direct dense: the copy keeps A's orientation
 };
 
@@ -122,9 +118,8 @@ class PackedLeft {
 /// Charges nothing: callers charge closed-form totals.
 void dgmm(const double* d, CView x, View y);
 
-/// C := A B (beta = 0) or C += A B (beta = 1).  A triangular A may write
-/// its product over B (C and B the same view: the in-place trmm); a dense
-/// one may not.  Charges nothing: callers charge closed-form totals.
+/// C := A B (beta = 0) or C += A B (beta = 1); C must not overlap B.
+/// Charges nothing: callers charge closed-form totals.
 void gemm(const PackedLeft& a, CView b, double beta, View c);
 
 namespace detail {

@@ -9,15 +9,15 @@
 //   4. a dispatcher that routes small calls to direct scalar loops (the Schur
 //      hot shapes: 2m-row generator panels with m in {1..8}) and large calls
 //      to a ThreadPool-parallel 2-D tile grid,
-//   5. the public gemm/syrk_lower/trsm/trmm entry points, which keep the
-//      exact flop/byte charging semantics of the seed kernels: each charges
-//      a closed-form total once, on the calling thread, so counts are
-//      identical whether a call runs serially or fans out to the pool.
+//   5. the public gemm/syrk_lower/trsm entry points, which keep the exact
+//      flop/byte charging semantics of the seed kernels: each charges a
+//      closed-form total once, on the calling thread, so counts are identical
+//      whether a call runs serially or fans out to the pool.
 //
 // syrk_lower and trsm are blocked so their inner updates run through the
 // packed gemm engine; their O(blk^2) diagonal work stays scalar.  PackedLeft
-// keeps a small factor (or one triangle of it) packed across many products
-// with column chunks read in place: the block reflector apply and trmm.
+// keeps a small factor (or its lower triangle) packed across many products
+// with column chunks read in place: the block reflector apply.
 #include <algorithm>
 #include <cstdlib>
 #include <new>
@@ -386,13 +386,16 @@ CView op_cols(Op tb, CView b, index_t c0, index_t cols) {
   return (tb == Op::None) ? b.block(0, c0, k, cols) : b.block(c0, 0, cols, k);
 }
 
-// True when this call should fan out to the global pool: enough flops to
-// amortize dispatch, more than one thread available, and the caller is not
-// already inside a parallel region (no nested pools).
-bool want_parallel(double flops, const KernelConfig& cfg, util::ThreadPool& pool) {
-  return flops >= static_cast<double>(cfg.parallel_min_flops) && pool.size() > 1 &&
-         !util::ThreadPool::in_parallel_region();
+}  // namespace
+
+// Enough flops to amortize dispatch, more than one thread available, and no
+// enclosing parallel region (no nested pools).
+bool want_parallel(double flops) {
+  return flops >= static_cast<double>(KernelConfig::active().parallel_min_flops) &&
+         !util::ThreadPool::in_parallel_region() && util::ThreadPool::global().size() > 1;
 }
+
+namespace {
 
 // C += alpha * op(A) op(B): the internal accumulate engine behind every
 // public level-3 entry point.  Charges nothing -- callers charge closed-form
@@ -413,7 +416,7 @@ void gemm_accum(Op ta, Op tb, double alpha, CView a, CView b, View c) {
     return;
   }
   util::ThreadPool& pool = util::ThreadPool::global();
-  if (!want_parallel(flops, cfg, pool)) {
+  if (!want_parallel(flops)) {
     gemm_packed(ta, tb, alpha, a, b, c);
     return;
   }
@@ -659,11 +662,10 @@ void syrk_lower(double alpha, CView a, double beta, View c) {
                    a.block(j0, 0, w, k), c.block(j0 + w, j0, rows, w));
       }
     };
-    const KernelConfig& cfg = KernelConfig::active();
     util::ThreadPool& pool = util::ThreadPool::global();
     const double flops = static_cast<double>(n) * static_cast<double>(n + 1) *
                          static_cast<double>(k);
-    if (nblocks > 1 && want_parallel(flops, cfg, pool)) {
+    if (nblocks > 1 && want_parallel(flops)) {
       pool.parallel_for(0, static_cast<std::size_t>(nblocks),
                         [&](std::size_t bi) { do_block(static_cast<index_t>(bi)); });
     } else {
@@ -680,7 +682,6 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b)
   if (alpha != 1.0) {
     for (index_t j = 0; j < n; ++j) scal(m, alpha, b.col(j));
   }
-  const KernelConfig& cfg = KernelConfig::active();
   util::ThreadPool& pool = util::ThreadPool::global();
   if (side == Side::Left) {
     assert(t.rows() == m && t.cols() == m);
@@ -688,7 +689,7 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b)
     const double flops = static_cast<double>(n) * static_cast<double>(m) *
                          static_cast<double>(m);
     const auto np = static_cast<index_t>(pool.size());
-    if (n > 1 && np > 1 && want_parallel(flops, cfg, pool)) {
+    if (n > 1 && np > 1 && want_parallel(flops)) {
       const index_t strips = std::min(n, np);
       pool.parallel_for(0, static_cast<std::size_t>(strips), [&](std::size_t s) {
         const auto si = static_cast<index_t>(s);
@@ -710,7 +711,7 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b)
   const double flops = static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(n);
   const auto np = static_cast<index_t>(pool.size());
-  if (m > 1 && np > 1 && want_parallel(flops, cfg, pool)) {
+  if (m > 1 && np > 1 && want_parallel(flops)) {
     const index_t strips = std::min(m, np);
     pool.parallel_for(0, static_cast<std::size_t>(strips), [&](std::size_t s) {
       const auto si = static_cast<index_t>(s);
@@ -763,19 +764,15 @@ double* PackBuffer::get(std::size_t doubles) {
   return buf_;
 }
 
-index_t PackedLeft::first(index_t p) const noexcept {
-  return shape_ == Shape::Upper ? std::min(p * MR, depth_) : 0;
-}
-
 index_t PackedLeft::last(index_t p) const noexcept {
-  return shape_ == Shape::Lower ? std::min((p + 1) * MR, depth_) : depth_;
+  return lower_ ? std::min((p + 1) * MR, depth_) : depth_;
 }
 
 void PackedLeft::pack(Op ta, CView a, bool packed, const double* scale) {
   rows_ = (ta == Op::None) ? a.rows() : a.cols();
   depth_ = (ta == Op::None) ? a.cols() : a.rows();
   packed_ = packed;
-  shape_ = Shape::Dense;
+  lower_ = false;
   op_ = ta;
   if (!packed) {
     // A copy in A's own orientation, so the seed loops run unchanged.
@@ -801,40 +798,35 @@ void PackedLeft::pack(Op ta, CView a, bool packed, const double* scale) {
   }
 }
 
-void PackedLeft::pack_triangle(Uplo uplo, Op op, Diag diag, double alpha, CView t,
-                               bool packed) {
+void PackedLeft::pack_lower(CView t, bool packed) {
   assert(t.rows() == t.cols());
   const index_t n = t.rows();
   rows_ = depth_ = n;
   packed_ = packed;
-  shape_ = ((uplo == Uplo::Lower) == (op == Op::None)) ? Shape::Lower : Shape::Upper;
+  lower_ = true;
   op_ = Op::None;
-  // Entry (i, k) of alpha op(T) inside the triangle, zero outside it: the
-  // other triangle of T is never read.
-  const auto entry = [&](index_t i, index_t k) {
-    if (i >= n || (shape_ == Shape::Lower ? k > i : k < i)) return 0.0;
-    if (i == k && diag == Diag::Unit) return alpha;
-    return alpha * (op == Op::None ? t(i, k) : t(k, i));
-  };
+  // T(i, k) on and below the diagonal, zero above it and in the padding
+  // rows: the strict upper triangle is never read.
+  const auto entry = [&](index_t i, index_t k) { return (i < n && k <= i) ? t(i, k) : 0.0; };
   if (!packed) {
     double* d = buf_.get(static_cast<std::size_t>(n * n));
     for (index_t k = 0; k < n; ++k)
       for (index_t i = 0; i < n; ++i) d[k * n + i] = entry(i, k);
     return;
   }
-  // Each micro-panel holds only its depth range [first, last): the panels
-  // of the other triangle are skipped, not multiplied as zeros.
+  // Micro-panel p holds depth [0, last(p)) only: the blocks above the
+  // diagonal are skipped, not multiplied as zeros.
   const index_t np = panels(n, MR);
   offset_.resize(static_cast<std::size_t>(np));
   index_t total = 0;
   for (index_t p = 0; p < np; ++p) {
     offset_[static_cast<std::size_t>(p)] = total;
-    total += MR * (last(p) - first(p));
+    total += MR * last(p);
   }
   double* d = buf_.get(static_cast<std::size_t>(total));
   for (index_t p = 0; p < np; ++p) {
     double* dp = d + offset_[static_cast<std::size_t>(p)];
-    for (index_t l = first(p); l < last(p); ++l, dp += MR) {
+    for (index_t l = 0; l < last(p); ++l, dp += MR) {
       for (index_t i = 0; i < MR; ++i) dp[i] = entry(p * MR + i, l);
     }
   }
@@ -842,18 +834,16 @@ void PackedLeft::pack_triangle(Uplo uplo, Op op, Diag diag, double alpha, CView 
 
 namespace {
 
-// C := T X (beta 0) or C += T X (beta 1) for the direct copy of a triangle.
-// Each entry is one dot product over the triangle's columns, in increasing
-// order; rows run in the order that lets C alias X (lower: last row first).
-void trmm_direct(bool lower, const double* t, index_t n, CView x, double beta, View c) {
+// C := T X (beta 0) or C += T X (beta 1) for the direct copy of a lower
+// triangle: each entry one dot product over columns 0..i, in increasing
+// order.
+void lower_direct(const double* t, index_t n, CView x, double beta, View c) {
   for (index_t j = 0; j < c.cols(); ++j) {
     const double* xj = x.col(j);
     double* cj = c.col(j);
-    for (index_t step = 0; step < n; ++step) {
-      const index_t i = lower ? n - 1 - step : step;
-      const index_t k0 = lower ? 0 : i, k1 = lower ? i + 1 : n;
+    for (index_t i = 0; i < n; ++i) {
       double s = 0.0;
-      for (index_t k = k0; k < k1; ++k) s += t[k * n + i] * xj[k];
+      for (index_t k = 0; k <= i; ++k) s += t[k * n + i] * xj[k];
       cj[i] = (beta == 0.0) ? s : cj[i] + s;
     }
   }
@@ -862,15 +852,14 @@ void trmm_direct(bool lower, const double* t, index_t n, CView x, double beta, V
 }  // namespace
 
 void gemm(const PackedLeft& a, CView b, double beta, View c) {
-  using Shape = PackedLeft::Shape;
   assert(b.rows() == a.depth_ && c.rows() == a.rows_ && c.cols() == b.cols());
   assert(beta == 0.0 || beta == 1.0);
   const index_t m = a.rows_, n = b.cols(), k = a.depth_;
   if (m == 0 || n == 0) return;
   const double* ad = a.buf_.data();
   if (!a.packed_) {
-    if (a.shape_ != Shape::Dense) {
-      trmm_direct(a.shape_ == Shape::Lower, ad, m, b, beta, c);
+    if (a.lower_) {
+      lower_direct(ad, m, b, beta, c);
       return;
     }
     if (beta == 0.0) set_zero(c);
@@ -881,9 +870,6 @@ void gemm(const PackedLeft& a, CView b, double beta, View c) {
   }
   const UKernel uk = pick_ukernel(KernelConfig::active());
   const index_t np = panels(m, MR);
-  // A lower triangle sweeps its row panels bottom-up so C may alias B: a
-  // panel reads only rows of B that no finished panel has written.
-  const bool bottom_up = (a.shape_ == Shape::Lower);
   for (index_t jr = 0; jr < n; jr += NR) {
     const index_t nr = std::min(NR, n - jr);
     // Full column panels are read in place; a short last one is copied
@@ -897,10 +883,9 @@ void gemm(const PackedLeft& a, CView b, double beta, View c) {
       bp = pad;
       ldb = k;
     }
-    for (index_t q = 0; q < np; ++q) {
-      const index_t p = bottom_up ? np - 1 - q : q;
-      const index_t l0 = a.first(p), ir = p * MR;
-      run_tile(uk, a.last(p) - l0, ad + a.offset_[static_cast<std::size_t>(p)], bp + l0, ldb,
+    for (index_t p = 0; p < np; ++p) {
+      const index_t ir = p * MR;
+      run_tile(uk, a.last(p), ad + a.offset_[static_cast<std::size_t>(p)], bp, ldb,
                c.col(jr) + ir, c.ld(), std::min(MR, m - ir), nr, beta != 0.0);
     }
   }
@@ -946,26 +931,6 @@ void dgmm(const double* d, CView x, View y) {
   if (has_simd && KernelConfig::active().simd && y.rows() >= 4) return dgmm_avx2(d, x, y);
 #endif
   dgmm_generic(d, x, y);
-}
-
-void trmm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b) {
-  const index_t m = b.rows(), n = b.cols();
-  if (side == Side::Right) {
-    // B op(T) = (op(T)^T B^T)^T: the left product on a transposed copy.
-    assert(t.rows() == n && t.cols() == n);
-    Mat bt = transpose(b);
-    trmm(Side::Left, uplo, op == Op::None ? Op::Trans : Op::None, diag, alpha, t, bt.view());
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < m; ++i) b(i, j) = bt(j, i);
-    return;
-  }
-  assert(t.rows() == m && t.cols() == m);
-  PackedLeft tri;
-  tri.pack_triangle(uplo, op, diag, alpha, t, m >= KernelConfig::active().pack_min_m);
-  gemm(tri, b, 0.0, b);
-  const auto terms = static_cast<std::uint64_t>(diag == Diag::Unit ? m * (m - 1) : m * (m + 1));
-  util::FlopCounter::charge(static_cast<std::uint64_t>(n) * terms);
-  util::ByteCounter::charge(static_cast<std::uint64_t>(8 * (m * (m + 1) / 2 + 2 * m * n)));
 }
 
 }  // namespace bst::la

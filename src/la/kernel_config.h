@@ -38,19 +38,20 @@ struct KernelConfig {
   // Size-based crossover: gemm calls with fewer than pack_min_flops total
   // flops (2mnk) or fewer than pack_min_m rows of op(A) use the direct
   // register-blocked loops instead of packing.  The block reflector apply
-  // and trmm decide from pack_min_m alone (the factor's order), so a
-  // column's result never depends on how many columns share the call.  The Schur hot shapes --
-  // 2m-row generator panels with m in {1..8} -- produce C tiles narrower
-  // than the micro-kernel's mr rows, where zero-padded micro-tiles would
-  // waste a large fraction of the SIMD lanes and the packing traffic is
-  // pure overhead.
+  // decides from pack_min_m alone (the factor's order), so a column's
+  // result never depends on how many columns share the call.  The Schur
+  // hot shapes -- 2m-row generator panels with m in {1..8} -- produce C
+  // tiles narrower than the micro-kernel's mr rows, where zero-padded
+  // micro-tiles would waste a large fraction of the SIMD lanes and the
+  // packing traffic is pure overhead.
   index_t pack_min_flops = 1 << 15;
   index_t pack_min_m = 5;
 
-  // Threading: a kernel fans out to util::ThreadPool::global() only when
-  // its flop count reaches parallel_min_flops (pool dispatch costs a few
-  // microseconds; small calls are faster inline) and the calling thread is
-  // not already inside a parallel region (no nested pools).
+  // Threading: a kernel, or a block reflector apply's chunk sweep, fans
+  // out to util::ThreadPool::global() only when its flop count reaches
+  // parallel_min_flops (pool dispatch costs a few microseconds; small calls
+  // are faster inline) and the calling thread is not already inside a
+  // parallel region (no nested pools): la::want_parallel.
   index_t parallel_min_flops = 2 << 20;
 
   // Use the AVX2/FMA micro-kernel when the CPU supports it (runtime

@@ -190,19 +190,23 @@ INSTANTIATE_TEST_SUITE_P(FormsAndSizes, RepSweep,
 // A column's bits never depend on how many columns come with it: one call
 // over 3 chunks + 5 columns equals the same reflector applied in pieces of
 // 1, 7, 12 (a multiple of the micro-kernel width) and the rest, bit for
-// bit -- under the default blocking and under one that makes every chunk a
-// single micro-panel.
+// bit -- under the default blocking, under one that makes every chunk a
+// single micro-panel, and with every multi-chunk call spread over the pool
+// (the single-chunk pieces stay serial).
 TEST(BlockReflector, ColumnResultsIndependentOfWidth) {
   la::KernelConfig tiny = la::KernelConfig::active();
   tiny.kc = 4;
-  for (const la::KernelConfig& cfg : {la::KernelConfig::active(), tiny}) {
+  la::KernelConfig pooled = la::KernelConfig::active();
+  pooled.parallel_min_flops = 1;
+  for (const la::KernelConfig& cfg : {la::KernelConfig::active(), tiny, pooled}) {
     const la::KernelConfig saved = la::KernelConfig::active();
     la::KernelConfig::set_active(cfg);
     for (Representation rep : {Representation::AccumulatedU, Representation::VY1,
                                Representation::VY2, Representation::YTY}) {
       for (index_t m : {1, 2, 4, 5, 8, 16, 17, 32}) {
         const std::string tag = std::string(to_string(rep)) + " m=" + std::to_string(m) +
-                                " kc=" + std::to_string(cfg.kc);
+                                " kc=" + std::to_string(cfg.kc) +
+                                " par_min=" + std::to_string(cfg.parallel_min_flops);
         util::Rng rng(static_cast<std::uint64_t>(77 + m));
         Mat p, q;
         random_pivot_pair(m, rng, p, q);

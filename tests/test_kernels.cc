@@ -472,71 +472,47 @@ TEST(KernelTrsv, AllCombosResidual) {
   }
 }
 
-// ----- trmm and packed left factors -----------------------------------------
+// ----- packed left factors ------------------------------------------------
 
-// alpha op(T) B (Left) or alpha B op(T) (Right) in long double, reading only
-// the `uplo` triangle of T (and not its diagonal for Unit).
-Mat ref_trmm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, CView b, Mat& mag) {
-  const index_t n = t.rows();
-  const auto opt = [&](index_t i, index_t k) -> long double {
-    const index_t r = (op == Op::None) ? i : k, c = (op == Op::None) ? k : i;
-    if (r == c) return diag == Diag::Unit ? 1.0L : t(r, c);
-    return (uplo == Uplo::Lower ? r > c : r < c) ? t(r, c) : 0.0L;
-  };
-  Mat out(b.rows(), b.cols());
-  mag = Mat(b.rows(), b.cols());
-  for (index_t j = 0; j < b.cols(); ++j)
-    for (index_t i = 0; i < b.rows(); ++i) {
-      long double s = 0.0L, sa = 0.0L;
-      for (index_t k = 0; k < n; ++k) {
-        const long double p = side == Side::Left ? opt(i, k) * b(k, j) : b(i, k) * opt(k, j);
-        s += p;
-        sa += std::fabs(p);
-      }
-      out(i, j) = static_cast<double>(alpha * s);
-      mag(i, j) = static_cast<double>(std::fabs(alpha) * sa);
-    }
-  return out;
-}
-
-// Every side/uplo/op/diag at orders on both sides of pack_min_m: the packed
-// path skips the micro-panels outside the triangle, so NaN there (and on a
-// unit diagonal) must never reach the result.  The charges are the closed
-// forms n(n+1) (n(n-1) for Unit) per vector of B.
-TEST(KernelTrmm, AllCombosVsLongDouble) {
+// The lower triangle of a block reflector's V_up or T, packed, times a chunk
+// of columns, on the micro-kernel and on the direct loops, at orders on both
+// sides of pack_min_m and of the 8-row micro-panel.  The packed panels stop
+// at the diagonal, so the NaN above it must never reach the result; the
+// product charges nothing (the apply charges closed forms).
+TEST(KernelPackedLeft, LowerTriangleVsLongDouble) {
   util::Rng rng(4242);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (Side side : {Side::Left, Side::Right})
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-      for (Op op : kOps)
-        for (Diag diag : {Diag::NonUnit, Diag::Unit})
-          for (index_t n : {1, 3, 4, 5, 8, 16, 17, 32})
-            for (index_t other : {1, 7, 13}) {
-              Mat t(n, n);
-              for (index_t j = 0; j < n; ++j)
-                for (index_t i = 0; i < n; ++i) {
-                  const bool inside = uplo == Uplo::Lower ? i > j : i < j;
-                  t(i, j) = (inside || (i == j && diag == Diag::NonUnit)) ? rng.uniform(-1, 1)
-                                                                          : nan;
-                }
-              const index_t rows = side == Side::Left ? n : other;
-              const index_t cols = side == Side::Left ? other : n;
-              const Mat b0 = random_matrix(rows, cols, rng);
-              const double alpha = (n % 2 == 0) ? 1.0 : -0.75;
-              Mat mag;
-              const Mat ref = ref_trmm(side, uplo, op, diag, alpha, t.view(), b0.view(), mag);
-              Mat b = b0;
-              std::uint64_t bytes = 0;
-              const std::uint64_t flops =
-                  flops_of([&] { trmm(side, uplo, op, diag, alpha, t.view(), b.view()); }, &bytes);
-              const auto vectors = static_cast<std::uint64_t>(side == Side::Left ? cols : rows);
-              const auto terms = static_cast<std::uint64_t>(diag == Diag::Unit ? n * (n - 1)
-                                                                               : n * (n + 1));
-              EXPECT_EQ(flops, vectors * terms);
-              EXPECT_EQ(bytes, static_cast<std::uint64_t>(8 * (n * (n + 1) / 2)) +
-                                   16 * vectors * static_cast<std::uint64_t>(n));
-              expect_close(b.view(), ref, mag, n, "trmm");
+  for (bool packed : {true, false})
+    for (index_t n : {1, 3, 4, 5, 8, 9, 16, 17, 32})
+      for (index_t cols : {1, 7, 13}) {
+        Mat t(n, n);
+        for (index_t j = 0; j < n; ++j)
+          for (index_t i = 0; i < n; ++i) t(i, j) = i >= j ? rng.uniform(-1, 1) : nan;
+        const Mat x = random_matrix(n, cols, rng);
+        const Mat c0 = random_matrix(n, cols, rng);
+        PackedLeft pl;
+        pl.pack_lower(t.view(), packed);
+        for (double beta : {0.0, 1.0}) {
+          Mat ref(n, cols), mag(n, cols);
+          for (index_t j = 0; j < cols; ++j)
+            for (index_t i = 0; i < n; ++i) {
+              long double s = beta * static_cast<long double>(c0(i, j));
+              long double sa = std::fabs(s);
+              for (index_t k = 0; k <= i; ++k) {
+                const long double p = static_cast<long double>(t(i, k)) * x(k, j);
+                s += p;
+                sa += std::fabs(p);
+              }
+              ref(i, j) = static_cast<double>(s);
+              mag(i, j) = static_cast<double>(sa);
             }
+          Mat c = c0;
+          std::uint64_t bytes = 1;
+          EXPECT_EQ(flops_of([&] { gemm(pl, x.view(), beta, c.view()); }, &bytes), 0u);
+          EXPECT_EQ(bytes, 0u);
+          expect_close(c.view(), ref, mag, n, "packed lower");
+        }
+      }
 }
 
 // The dense packed factor on the micro-kernel and on the direct loops, with
