@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 
 #include "util/calibrate.h"
 #include "util/env.h"
@@ -77,9 +78,7 @@ const char* req_phase_name(ReqPhase p) noexcept {
 // ------------------------------------------------------------ armed state
 //
 // Everything the handler touches lives in file-scope PODs with atomic
-// members: zero-initialized before any dynamic initializer runs, so the
-// note_* hooks are safe even from namespace-scope Metrics::counter(...)
-// initializers elsewhere in the library.
+// members, zero-initialized before any dynamic initializer runs.
 
 namespace {
 
@@ -109,31 +108,6 @@ ReqSlot g_reqs[Crashbox::kMaxRequests];
 std::atomic<std::uint32_t> g_req_hint{0};
 std::atomic<std::uint64_t> g_req_overflow{0};
 
-// Name mirrors (phases / counters / gauges).  Appended under the owning
-// registry's lock; the handler reads count with acquire.
-struct NameSlot {
-  std::atomic<std::int32_t> id;
-  char name[Crashbox::kNameLen];
-};
-struct NameTable {
-  NameSlot slots[Crashbox::kMaxNames];
-  std::atomic<int> count;
-
-  void note(int id, const char* name) noexcept {
-    const int n = count.load(std::memory_order_relaxed);
-    if (n >= Crashbox::kMaxNames || name == nullptr) return;
-    std::size_t len = std::strlen(name);
-    if (len > Crashbox::kNameLen - 1) len = Crashbox::kNameLen - 1;
-    std::memcpy(slots[n].name, name, len);
-    slots[n].name[len] = '\0';
-    slots[n].id.store(id, std::memory_order_release);
-    count.store(n + 1, std::memory_order_release);
-  }
-};
-NameTable g_phases;
-NameTable g_counters;
-NameTable g_gauges;
-
 std::uint64_t mono_ns() noexcept {
   struct timespec ts;
   if (clock_gettime(CLOCK_MONOTONIC, &ts) != 0) return 0;
@@ -159,18 +133,20 @@ extern "C" void crashbox_handler(int sig, siginfo_t* /*info*/, void* /*ctx*/) {
   ::raise(sig);
 }
 
-void write_name_table(int fd, const NameTable& t, const char* prefix,
-                      std::uint64_t (*value_of)(int)) noexcept {
-  const int n = t.count.load(std::memory_order_acquire);
-  for (int i = 0; i < n; ++i) {
-    sigsafe::write_str(fd, prefix);
-    sigsafe::write_str(fd, t.slots[i].name);
-    if (value_of != nullptr) {
-      sigsafe::write_str(fd, " ");
-      sigsafe::write_u64(fd, value_of(t.slots[i].id.load(std::memory_order_acquire)));
+// One "<tag> <name> <value>" line per name interned under `kind`, read from
+// the registry's fixed slots without a lock.
+template <typename ValueOf>
+void write_names(int fd, NameKind kind, const char* tag, ValueOf value_of) noexcept {
+  const int n = interned_count(kind);
+  for (int id = 0; id < n; ++id) {
+    sigsafe::write_str(fd, tag);
+    sigsafe::write_str(fd, interned_name(kind, id));
+    sigsafe::write_str(fd, " ");
+    const auto v = value_of(id);
+    if constexpr (std::is_signed_v<decltype(v)>) {
+      sigsafe::write_i64(fd, v);
     } else {
-      sigsafe::write_str(fd, " ");
-      sigsafe::write_i64(fd, t.slots[i].id.load(std::memory_order_acquire));
+      sigsafe::write_u64(fd, v);
     }
     sigsafe::write_str(fd, "\n");
   }
@@ -276,10 +252,6 @@ void Crashbox::request_end(int slot) noexcept {
   g_reqs[slot].id.store(0, std::memory_order_release);
 }
 
-void Crashbox::note_phase(int id, const char* name) noexcept { g_phases.note(id, name); }
-void Crashbox::note_counter(int id, const char* name) noexcept { g_counters.note(id, name); }
-void Crashbox::note_gauge(int id, const char* name) noexcept { g_gauges.note(id, name); }
-
 bool Crashbox::dump(int sig, const char* reason) noexcept {
   if (!installed()) return false;
   if (g_dumped.exchange(true, std::memory_order_acq_rel)) return false;
@@ -311,19 +283,10 @@ bool Crashbox::dump(int sig, const char* reason) noexcept {
   write_str(fd, g_provenance);
   write_str(fd, "provenance_end\n");
 
-  // Counters and gauges: mirrored names + live relaxed-atomic value reads.
+  // Counters and gauges: registry names + live relaxed-atomic value reads.
   write_str(fd, "counters_begin\n");
-  write_name_table(fd, g_counters, "c ", [](int id) {
-    return Metrics::counter_value(id);
-  });
-  const int ng = g_gauges.count.load(std::memory_order_acquire);
-  for (int i = 0; i < ng; ++i) {
-    write_str(fd, "g ");
-    write_str(fd, g_gauges.slots[i].name);
-    write_str(fd, " ");
-    write_i64(fd, Metrics::gauge_value(g_gauges.slots[i].id.load(std::memory_order_acquire)));
-    write_str(fd, "\n");
-  }
+  write_names(fd, NameKind::kCounter, "c ", Metrics::counter_value);
+  write_names(fd, NameKind::kGauge, "g ", Metrics::gauge_value);
   write_str(fd, "counters_end\n");
 
   // Active requests: id, coarse phase, age.
@@ -350,10 +313,9 @@ bool Crashbox::dump(int sig, const char* reason) noexcept {
   }
   write_str(fd, "requests_end\n");
 
-  // Phase-name table so the decoder can name ring events without the
-  // (mutex-guarded) Tracer registry.
+  // Phase-name table so the decoder can name ring events in another process.
   write_str(fd, "phases_begin\n");
-  write_name_table(fd, g_phases, "p ", nullptr);
+  write_names(fd, NameKind::kPhase, "p ", [](int id) { return std::int64_t{id}; });
   write_str(fd, "phases_end\n");
 
   // Last telemetry tick, length-prefixed; a concurrent writer tears it at

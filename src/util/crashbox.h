@@ -13,11 +13,10 @@
 //
 // The layer is passive until installed: every hook below is a relaxed-load
 // no-op when `BST_CRASH_DIR` is unset, so steady-state overhead stays inside
-// the observability budget.  State the handler reads is *mirrored* into
-// fixed-size lock-free tables at registration time (phase/counter/gauge
-// names from util/trace + util/metrics, the last telemetry tick under a
-// seqlock, active requests in a CAS slot table) -- the handler never touches
-// the mutex-guarded registries themselves.
+// the observability budget.  Everything the handler reads is lock-free:
+// phase/counter/gauge names straight from the fixed slots of the name
+// registry (util/trace.h), the last telemetry tick under a seqlock, active
+// requests in a CAS slot table -- it never takes a mutex.
 //
 // Report format ("BSTCRASH v1") and usage: docs/OBSERVABILITY.md,
 // "Post-mortem debugging".
@@ -52,8 +51,6 @@ const char* req_phase_name(ReqPhase p) noexcept;
 class Crashbox {
  public:
   static constexpr int kMaxRequests = 256;  // active-request slot table size
-  static constexpr int kMaxNames = 256;     // mirrored phase/counter/gauge names
-  static constexpr int kNameLen = 48;       // per-name bytes (truncating)
 
   /// Installs the signal handlers and arms the report path from
   /// `BST_CRASH_DIR`.  Returns false (and stays disarmed) when the variable
@@ -80,13 +77,6 @@ class Crashbox {
   static int request_begin(std::uint64_t id, ReqPhase phase) noexcept;
   static void request_phase(int slot, ReqPhase phase) noexcept;
   static void request_end(int slot) noexcept;
-
-  /// Name mirrors, called by the interning registries (Tracer::phase,
-  /// Metrics::counter/gauge) under their own locks.  The handler walks
-  /// these fixed tables instead of the std::string registries.
-  static void note_phase(int id, const char* name) noexcept;
-  static void note_counter(int id, const char* name) noexcept;
-  static void note_gauge(int id, const char* name) noexcept;
 
   /// Writes the report now.  `sig` 0 means a non-signal dump (stallguard
   /// escalation, tests); `reason` is a short free-text tag.  Returns false

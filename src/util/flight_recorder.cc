@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "util/crashbox.h"  // sigsafe write helpers for unsafe_dump
+#include "util/report.h"    // Json: the one JSON string escaper
 
 namespace bst::util {
 namespace {
@@ -108,7 +109,56 @@ double unbits(std::uint64_t u) noexcept {
   return v;
 }
 
+// Copies one ring's window out, oldest first (caller holds the registry
+// mutex), with its Ends that lost their Begin counted.
+ThreadEvents copy_ring(const ThreadRing& r) {
+  const std::uint64_t head = r.head.load(std::memory_order_acquire);
+  const std::uint64_t cap = r.ring.size();
+  const std::uint64_t first = head > cap ? head - cap : 0;
+  ThreadEvents te;
+  te.tid = r.tid;
+  te.label = r.label;
+  te.virtual_time = r.is_virtual;
+  te.dropped = first;
+  te.events.reserve(static_cast<std::size_t>(head - first));
+  for (std::uint64_t i = first; i < head; ++i) {
+    te.events.push_back(r.ring[static_cast<std::size_t>(i % cap)]);
+  }
+  count_unmatched_ends(te);
+  return te;
+}
+
+// This process's phase names (the registry), for the live exporters.
+std::string registry_phase_name(PhaseId id) {
+  const char* name = interned_name(NameKind::kPhase, id);
+  return name != nullptr ? name : "phase_" + std::to_string(id);
+}
+
 }  // namespace
+
+SpanWalk walk_spans(const std::vector<FlightEvent>& events) {
+  SpanWalk w;
+  w.paired.assign(events.size(), false);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind == EventKind::kBegin) {
+      w.open.push_back(i);
+    } else if (events[i].kind == EventKind::kEnd) {
+      if (w.open.empty()) {
+        ++w.unmatched_ends;
+        continue;
+      }
+      w.paired[w.open.back()] = true;
+      w.paired[i] = true;
+      w.open.pop_back();
+    }
+  }
+  return w;
+}
+
+void count_unmatched_ends(ThreadEvents& te) {
+  te.unmatched_ends = walk_spans(te.events).unmatched_ends;
+  te.dropped += te.unmatched_ends;
+}
 
 std::atomic<bool> FlightRecorder::enabled_{false};
 
@@ -210,31 +260,15 @@ std::uint32_t FlightRecorder::current_tid() { return my_ring()->tid; }
 
 std::string FlightRecorder::open_span_name(std::uint32_t tid) {
   Registry& reg = registry();
-  PhaseId open = -1;
+  ThreadEvents te;
   {
     std::lock_guard lock(reg.mu);
     if (tid >= reg.rings.size()) return std::string();
-    const ThreadRing& r = *reg.rings[tid];
-    const std::uint64_t head = r.head.load(std::memory_order_acquire);
-    const std::uint64_t cap = r.ring.size();
-    const std::uint64_t first = head > cap ? head - cap : 0;
-    std::vector<PhaseId> stack;
-    for (std::uint64_t i = first; i < head; ++i) {
-      const FlightEvent& e = r.ring[static_cast<std::size_t>(i % cap)];
-      if (e.kind == EventKind::kBegin) {
-        stack.push_back(e.phase);
-      } else if (e.kind == EventKind::kEnd && !stack.empty()) {
-        stack.pop_back();
-      }
-    }
-    if (stack.empty()) return std::string();
-    open = stack.back();
+    te = copy_ring(*reg.rings[tid]);
   }
-  const std::vector<std::string> names = Tracer::phase_names();
-  if (open >= 0 && static_cast<std::size_t>(open) < names.size()) {
-    return names[static_cast<std::size_t>(open)];
-  }
-  return "phase_" + std::to_string(open);
+  const SpanWalk w = walk_spans(te.events);
+  if (w.open.empty()) return std::string();
+  return registry_phase_name(te.events[w.open.back()].phase);
 }
 
 std::vector<ThreadEvents> FlightRecorder::snapshot() {
@@ -242,36 +276,7 @@ std::vector<ThreadEvents> FlightRecorder::snapshot() {
   std::lock_guard lock(reg.mu);
   std::vector<ThreadEvents> out;
   for (const auto& r : reg.rings) {
-    const std::uint64_t head = r->head.load(std::memory_order_acquire);
-    if (head == 0) continue;
-    const std::uint64_t cap = r->ring.size();
-    ThreadEvents te;
-    te.tid = r->tid;
-    te.label = r->label;
-    te.virtual_time = r->is_virtual;
-    te.dropped = head > cap ? head - cap : 0;
-    const std::uint64_t first = head > cap ? head - cap : 0;
-    te.events.reserve(static_cast<std::size_t>(head - first));
-    for (std::uint64_t i = first; i < head; ++i) {
-      te.events.push_back(r->ring[static_cast<std::size_t>(i % cap)]);
-    }
-    // An End whose Begin was overwritten by ring wrap is a lost span, not
-    // just an unmatched token: count it into the dropped tally so the wrap
-    // loss is never silent (the exporter already skips it when balancing).
-    std::uint64_t depth = 0;
-    for (const FlightEvent& e : te.events) {
-      if (e.kind == EventKind::kBegin) {
-        ++depth;
-      } else if (e.kind == EventKind::kEnd) {
-        if (depth > 0) {
-          --depth;
-        } else {
-          ++te.unmatched_ends;
-        }
-      }
-    }
-    te.dropped += te.unmatched_ends;
-    out.push_back(std::move(te));
+    if (r->head.load(std::memory_order_acquire) != 0) out.push_back(copy_ring(*r));
   }
   return out;
 }
@@ -326,29 +331,20 @@ void FlightRecorder::unsafe_dump(int fd) noexcept {
 
 namespace {
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-// One chrome-trace event line.  ts/dur are microseconds (chrome's unit);
-// fractional digits keep nanosecond resolution.
+// One chrome-trace event line.  ts is microseconds (chrome's unit);
+// fractional digits keep nanosecond resolution.  Instants are thread-scoped.
 void write_event(std::ostream& os, bool& first, const std::string& name, char ph,
                  std::uint32_t tid, double ts_us, const std::string& args) {
   if (!first) os << ",\n";
   first = false;
   os << "    {\"name\": ";
-  write_json_string(os, name);
-  os << ", \"ph\": \"" << ph << "\", \"pid\": 1, \"tid\": " << tid;
+  Json::string(name).write(os);
+  os << ", \"ph\": \"" << ph << "\"";
+  if (ph == 'i') os << ", \"s\": \"t\"";
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.3f", ts_us);
-  os << ", \"ts\": " << buf;
-  if (!args.empty()) os << ", \"args\": {" << args << "}";
-  os << "}";
+  os << ", \"pid\": 1, \"tid\": " << tid << ", \"ts\": " << buf << ", \"args\": {" << args
+     << "}}";
 }
 
 std::string num(double v) {
@@ -359,14 +355,8 @@ std::string num(double v) {
 
 }  // namespace
 
-void FlightRecorder::write_chrome_trace(std::ostream& os) {
-  const std::vector<ThreadEvents> threads = snapshot();
-  const std::vector<std::string> names = Tracer::phase_names();
-  auto name_of = [&](PhaseId p) -> std::string {
-    if (p >= 0 && static_cast<std::size_t>(p) < names.size()) return names[static_cast<std::size_t>(p)];
-    return "phase_" + std::to_string(p);
-  };
-
+void FlightRecorder::write_chrome_trace(std::ostream& os, const std::vector<ThreadEvents>& threads,
+                                        const PhaseNamer& phase_name, bool open_at_crash) {
   // Common time origin so threads align in the viewer.  Virtual tracks
   // (replayed simulated schedules) are already zero-based in virtual time;
   // only the steady-clock rings need rebasing.
@@ -374,8 +364,10 @@ void FlightRecorder::write_chrome_trace(std::ostream& os) {
   bool any_real = false;
   for (const ThreadEvents& te : threads) {
     if (te.virtual_time) continue;
-    any_real = true;
-    for (const FlightEvent& e : te.events) t0 = std::min(t0, e.ts_ns);
+    for (const FlightEvent& e : te.events) {
+      any_real = true;
+      t0 = std::min(t0, e.ts_ns);
+    }
   }
   if (!any_real) t0 = 0;
 
@@ -388,68 +380,43 @@ void FlightRecorder::write_chrome_trace(std::ostream& os) {
     first = false;
     os << "    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " << te.tid
        << ", \"args\": {\"name\": ";
-    write_json_string(os, te.label);
+    Json::string(te.label).write(os);
     os << "}}";
   }
   for (const ThreadEvents& te : threads) {
-    // Re-balance: drop Ends whose Begin was lost to ring wrap, and Begins
-    // still open at snapshot, so every emitted tid nests B/E exactly.
-    std::vector<char> emit(te.events.size(), 0);
-    std::vector<std::size_t> stack;
+    const SpanWalk walk = walk_spans(te.events);
     for (std::size_t i = 0; i < te.events.size(); ++i) {
       const FlightEvent& e = te.events[i];
-      switch (e.kind) {
-        case EventKind::kBegin: stack.push_back(i); break;
-        case EventKind::kEnd:
-          if (!stack.empty()) {
-            emit[stack.back()] = 1;
-            emit[i] = 1;
-            stack.pop_back();
-          }
-          break;
-        case EventKind::kInstant: emit[i] = 1; break;
+      char ph = 'i';
+      const char* suffix = "";
+      if (walk.paired[i]) {
+        ph = e.kind == EventKind::kBegin ? 'B' : 'E';
+      } else if (e.kind == EventKind::kBegin && open_at_crash) {
+        suffix = " (open at crash)";
+      } else if (e.kind != EventKind::kInstant) {
+        continue;  // an End whose Begin was lost, or a Begin still open
       }
-    }
-    for (std::size_t i = 0; i < te.events.size(); ++i) {
-      if (!emit[i]) continue;
-      const FlightEvent& e = te.events[i];
+      std::string args = "\"step\": " + std::to_string(e.step);
+      if (e.kind == EventKind::kInstant) {
+        args += ", \"value\": " + num(unbits(e.a)) + ", \"threshold\": " + num(unbits(e.b));
+      } else if (ph == 'E') {
+        args += ", \"flops\": " + std::to_string(e.a) + ", \"bytes\": " + std::to_string(e.b);
+      }
+      if (e.peer >= 0) args += ", \"peer\": " + std::to_string(e.peer);
       const double ts_us = static_cast<double>(e.ts_ns - (te.virtual_time ? 0 : t0)) * 1e-3;
-      switch (e.kind) {
-        case EventKind::kBegin: {
-          std::string args = "\"step\": " + std::to_string(e.step);
-          if (e.peer >= 0) args += ", \"peer\": " + std::to_string(e.peer);
-          write_event(os, first, name_of(e.phase), 'B', te.tid, ts_us, args);
-          break;
-        }
-        case EventKind::kEnd: {
-          std::string args = "\"flops\": " + std::to_string(e.a) +
-                             ", \"bytes\": " + std::to_string(e.b);
-          if (e.peer >= 0) args += ", \"peer\": " + std::to_string(e.peer);
-          write_event(os, first, name_of(e.phase), 'E', te.tid, ts_us, args);
-          break;
-        }
-        case EventKind::kInstant: {
-          std::string args = "\"step\": " + std::to_string(e.step) +
-                             ", \"value\": " + num(unbits(e.a)) +
-                             ", \"threshold\": " + num(unbits(e.b));
-          if (!first) os << ",\n";
-          first = false;
-          os << "    {\"name\": ";
-          write_json_string(os, name_of(e.phase));
-          os << ", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": " << te.tid;
-          char buf[40];
-          std::snprintf(buf, sizeof buf, "%.3f", ts_us);
-          os << ", \"ts\": " << buf << ", \"args\": {" << args << "}}";
-          break;
-        }
-      }
+      write_event(os, first, phase_name(e.phase) + suffix, ph, te.tid, ts_us, args);
     }
-    if (te.dropped > 0) {
-      write_event(os, first, "flight_recorder_dropped", 'i', te.tid, 0.0,
-                  "\"dropped\": " + std::to_string(te.dropped));
+    if (te.dropped > 0 || te.torn > 0) {
+      std::string args = "\"dropped\": " + std::to_string(te.dropped);
+      if (te.torn > 0) args += ", \"torn\": " + std::to_string(te.torn);
+      write_event(os, first, "flight_recorder_dropped", 'i', te.tid, 0.0, args);
     }
   }
   os << "\n  ]\n}\n";
+}
+
+void FlightRecorder::write_chrome_trace(std::ostream& os) {
+  write_chrome_trace(os, snapshot(), registry_phase_name, false);
 }
 
 void FlightRecorder::write_chrome_trace(const std::string& path) {

@@ -13,9 +13,13 @@
 //     release store of the head index.  The registry of rings takes a mutex
 //     only on a thread's *first* event.
 //   * Overflow wraps: the ring keeps the most recent `capacity` events and
-//     counts the drops.  The exporter re-balances (an End whose Begin was
-//     overwritten, or a Begin still open at snapshot, is dropped) so the
-//     emitted chrome trace always has matched B/E pairs per tid.
+//     counts the drops, an End whose Begin was overwritten included.  The
+//     exporter re-balances (such an End, or a Begin still open at snapshot,
+//     is dropped) so the emitted chrome trace always has matched B/E pairs
+//     per tid.
+//   * One reader for every ring: the live snapshot and the crash-dump
+//     decoder (util/postmortem.h) both yield ThreadEvents, walked by
+//     walk_spans() and written by the one chrome-trace writer.
 //   * Enabled alongside the Tracer (TraceSpan emits begin/end events when
 //     both are on); `bst_solve --trace=out.json` and the bench_fig*
 //     `--trace=` flag wire it up.  Disabled cost: one relaxed load + branch
@@ -28,7 +32,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -52,17 +58,38 @@ struct FlightEvent {
   PhaseId phase = -1;        // interned name (Tracer::phase registry)
   EventKind kind = EventKind::kBegin;
   std::int32_t peer = -1;    // message partner PE (simnet spans; -1 = none)
+
+  bool operator==(const FlightEvent&) const = default;
 };
 
-/// Snapshot of one thread's ring, oldest event first.
+/// One thread's ring, oldest event first: a live snapshot or a ring decoded
+/// from a crash dump.
 struct ThreadEvents {
   std::uint32_t tid = 0;            // dense recorder-assigned id
   std::uint64_t dropped = 0;        // wrap-lost events + unmatched_ends
   std::uint64_t unmatched_ends = 0; // Ends whose Begin was overwritten by wrap
+  std::uint64_t torn = 0;           // dumped events the decoder found garbled
   std::string label;                // display name ("pe:<k>"; "" = unnamed)
   bool virtual_time = false;        // virtual_track(): ts is virtual, zero-based
   std::vector<FlightEvent> events;
 };
+
+/// The Begin/End structure of a ring, from one walk: every End pops the
+/// innermost open Begin.
+struct SpanWalk {
+  std::vector<bool> paired;          // per event: a Begin or End that matched
+  std::vector<std::size_t> open;     // Begins never closed, outermost first
+  std::uint64_t unmatched_ends = 0;  // Ends with no open Begin (lost to wrap)
+};
+[[nodiscard]] SpanWalk walk_spans(const std::vector<FlightEvent>& events);
+
+/// Counts `te`'s Ends whose Begin was lost into unmatched_ends and folds
+/// them into dropped: an End without its Begin is a lost span, not just an
+/// unmatched token.  Both the live snapshot and the crash decoder call it.
+void count_unmatched_ends(ThreadEvents& te);
+
+/// Names a phase id for the chrome-trace writer.
+using PhaseNamer = std::function<std::string(PhaseId)>;
 
 class FlightRecorder {
  public:
@@ -130,13 +157,20 @@ class FlightRecorder {
   /// FlightEvent bytes, oldest-first.  Walks a lock-free mirror of the
   /// registry (no mutex, no allocation) while other threads may still be
   /// recording, so individual events can be torn -- the decoder
-  /// (util/postmortem.h) validates and skips garbage records.
+  /// (util/postmortem.h) validates, skips and counts garbage records.
   static void unsafe_dump(int fd) noexcept;
 
-  /// Writes the chrome-trace ("traceEvents") JSON document.  Unmatched
-  /// events are dropped so every emitted tid has balanced B/E pairs.
-  /// write_chrome_trace throws std::runtime_error when the path cannot be
-  /// opened.
+  /// Writes the chrome-trace ("traceEvents") JSON document of `threads`,
+  /// naming phases through `phase_name`.  Unmatched events are dropped so
+  /// every emitted tid has balanced B/E pairs -- except that, with
+  /// `open_at_crash`, a Begin still open is emitted as a "<phase> (open at
+  /// crash)" instant (bst_postmortem --trace shows where a thread died).
+  static void write_chrome_trace(std::ostream& os, const std::vector<ThreadEvents>& threads,
+                                 const PhaseNamer& phase_name, bool open_at_crash);
+
+  /// The live trace: snapshot() named by the phase registry, open spans
+  /// dropped.  The path form throws std::runtime_error when the path cannot
+  /// be opened.
   static void write_chrome_trace(std::ostream& os);
   static void write_chrome_trace(const std::string& path);
 

@@ -4,47 +4,14 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <mutex>
 
-#include "util/crashbox.h"
 #include "util/watchdog.h"
 
 namespace bst::util {
 namespace {
 
-// One histogram's accumulators.  Min/max use CAS loops (updates are rare
-// once the range has been seen); bucket counts are relaxed fetch-adds.
-struct HistSlot {
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> min{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> max{0};
-  std::atomic<std::uint64_t> buckets[kHistBuckets] = {};
-
-  void record(std::uint64_t v) noexcept {
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(v, std::memory_order_relaxed);
-    buckets[hist_bucket(v)].fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t cur = min.load(std::memory_order_relaxed);
-    while (v < cur && !min.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-    cur = max.load(std::memory_order_relaxed);
-    while (v > cur && !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  void reset() noexcept {
-    count.store(0, std::memory_order_relaxed);
-    sum.store(0, std::memory_order_relaxed);
-    min.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    max.store(0, std::memory_order_relaxed);
-    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
-  }
-};
-
-// Named histograms plus one implicit latency histogram per trace phase.
-HistSlot g_named[Metrics::kMaxHistograms];
-HistSlot g_phase_ns[Tracer::kMaxPhases];
+HistogramCells g_named[Metrics::kMaxHistograms];
+PhaseRecord g_phases[Tracer::kMaxPhases];
 
 // Named monotonic counters (padded: unrelated counters on one cache line
 // would make every fetch-add a false-sharing miss under concurrent use).
@@ -71,8 +38,9 @@ std::atomic<bool> g_full_warned{false};
 // section + flight-recorder instant), so it is gated on Tracer::enabled()
 // like every other warning; the counter records unconditionally.
 //
-// Must be called WITHOUT registry_mu() held: Watchdog::warn bumps the
-// `watchdog_warnings` counter, which re-enters Metrics::counter.  The
+// Runs after intern_name() has released the registry mutex: Watchdog::warn
+// bumps the `watchdog_warnings` counter, which re-enters Metrics::counter
+// (and Tracer::phase, when the flight recorder is on).  The
 // thread_local guard breaks the one remaining cycle -- warn's own counter
 // registration overflowing a full table must not warn again.
 int register_dropped(const char* kind, int cap) {
@@ -88,35 +56,37 @@ int register_dropped(const char* kind, int cap) {
   return -1;
 }
 
-std::mutex& registry_mu() {
-  static std::mutex mu;
-  return mu;
+}  // namespace
+
+void HistogramCells::record(std::uint64_t v) noexcept {
+  count.fetch_add(1, std::memory_order_relaxed);
+  sum.fetch_add(v, std::memory_order_relaxed);
+  buckets[hist_bucket(v)].fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t cur = min.load(std::memory_order_relaxed);
+  while (v < cur && !min.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+  cur = max.load(std::memory_order_relaxed);
+  while (v > cur && !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
 }
 
-std::vector<std::string>& registry() {
-  static std::vector<std::string> names;
-  return names;
+void HistogramCells::reset() noexcept {
+  count.store(0, std::memory_order_relaxed);
+  sum.store(0, std::memory_order_relaxed);
+  min.store(~std::uint64_t{0}, std::memory_order_relaxed);
+  max.store(0, std::memory_order_relaxed);
+  for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
 }
 
-std::vector<std::string>& counter_registry() {
-  static std::vector<std::string> names;
-  return names;
-}
-
-std::vector<std::string>& gauge_registry() {
-  static std::vector<std::string> names;
-  return names;
-}
-
-HistogramStats snapshot_slot(const HistSlot& s, std::string name) {
+HistogramStats HistogramCells::stats(std::string name) const {
   HistogramStats out;
   out.name = std::move(name);
-  out.count = s.count.load(std::memory_order_relaxed);
-  out.sum = s.sum.load(std::memory_order_relaxed);
-  out.min = s.min.load(std::memory_order_relaxed);
-  out.max = s.max.load(std::memory_order_relaxed);
+  out.count = count.load(std::memory_order_relaxed);
+  out.sum = sum.load(std::memory_order_relaxed);
+  out.min = min.load(std::memory_order_relaxed);
+  out.max = max.load(std::memory_order_relaxed);
   for (int b = 0; b < kHistBuckets; ++b) {
-    const std::uint64_t c = s.buckets[b].load(std::memory_order_relaxed);
+    const std::uint64_t c = buckets[b].load(std::memory_order_relaxed);
     if (c != 0) out.buckets.emplace_back(hist_bucket_lo(b), c);
   }
   out.p50 = out.quantile(0.50);
@@ -125,7 +95,7 @@ HistogramStats snapshot_slot(const HistSlot& s, std::string name) {
   return out;
 }
 
-}  // namespace
+PhaseRecord& phase_record(PhaseId id) noexcept { return g_phases[id]; }
 
 int hist_bucket(std::uint64_t v) noexcept {
   if (v < kHistSubBuckets) return static_cast<int>(v);
@@ -169,18 +139,8 @@ double HistogramStats::quantile(double q) const {
 }
 
 HistId Metrics::histogram(const std::string& name) {
-  {
-    std::lock_guard lock(registry_mu());
-    auto& names = registry();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return static_cast<HistId>(i);
-    }
-    if (names.size() < static_cast<std::size_t>(kMaxHistograms)) {
-      names.push_back(name);
-      return static_cast<HistId>(names.size() - 1);
-    }
-  }
-  return register_dropped("histogram", kMaxHistograms);
+  const int id = intern_name(NameKind::kHistogram, name);
+  return id >= 0 ? id : register_dropped("histogram", kMaxHistograms);
 }
 
 void Metrics::record(HistId id, std::uint64_t value) noexcept {
@@ -188,47 +148,24 @@ void Metrics::record(HistId id, std::uint64_t value) noexcept {
   g_named[id].record(value);
 }
 
-void Metrics::record_phase_ns(PhaseId id, std::uint64_t ns) noexcept {
-  if (id < 0 || id >= Tracer::kMaxPhases) return;
-  g_phase_ns[id].record(ns);
-}
-
 std::vector<HistogramStats> Metrics::snapshot() {
-  std::vector<std::string> named;
-  {
-    std::lock_guard lock(registry_mu());
-    named = registry();
-  }
   std::vector<HistogramStats> out;
-  for (std::size_t i = 0; i < named.size(); ++i) {
-    if (g_named[i].count.load(std::memory_order_relaxed) == 0) continue;
-    out.push_back(snapshot_slot(g_named[i], named[i]));
+  for (HistId id = 0; id < interned_count(NameKind::kHistogram); ++id) {
+    if (g_named[id].count.load(std::memory_order_relaxed) == 0) continue;
+    out.push_back(g_named[id].stats(interned_name(NameKind::kHistogram, id)));
   }
-  const std::vector<std::string> phases = Tracer::phase_names();
-  for (std::size_t i = 0; i < phases.size() && i < Tracer::kMaxPhases; ++i) {
-    if (g_phase_ns[i].count.load(std::memory_order_relaxed) == 0) continue;
-    out.push_back(snapshot_slot(g_phase_ns[i], phases[i] + "_ns"));
+  for (PhaseId id = 0; id < interned_count(NameKind::kPhase); ++id) {
+    const HistogramCells& ns = g_phases[id].ns;
+    if (ns.count.load(std::memory_order_relaxed) == 0) continue;
+    out.push_back(ns.stats(std::string(interned_name(NameKind::kPhase, id)) + "_ns"));
   }
+  sort_by_name(out);
   return out;
 }
 
 CtrId Metrics::counter(const std::string& name) {
-  {
-    std::lock_guard lock(registry_mu());
-    auto& names = counter_registry();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return static_cast<CtrId>(i);
-    }
-    if (names.size() < static_cast<std::size_t>(kMaxCounters)) {
-      names.push_back(name);
-      const auto id = static_cast<CtrId>(names.size() - 1);
-      // Mirror the name for the crashbox signal handler, which reads counter
-      // values (relaxed atomics) but must not take this registry's mutex.
-      Crashbox::note_counter(id, name.c_str());
-      return id;
-    }
-  }
-  return register_dropped("counter", kMaxCounters);
+  const int id = intern_name(NameKind::kCounter, name);
+  return id >= 0 ? id : register_dropped("counter", kMaxCounters);
 }
 
 void Metrics::add(CtrId id, std::uint64_t delta) noexcept {
@@ -242,38 +179,22 @@ std::uint64_t Metrics::counter_value(CtrId id) noexcept {
 }
 
 std::vector<CounterStats> Metrics::counters_snapshot() {
-  std::vector<std::string> names;
-  {
-    std::lock_guard lock(registry_mu());
-    names = counter_registry();
-  }
   std::vector<CounterStats> out;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const std::uint64_t v = g_counters[i].value.load(std::memory_order_relaxed);
-    if (v != 0) out.push_back({names[i], v});
+  for (CtrId id = 0; id < interned_count(NameKind::kCounter); ++id) {
+    const std::uint64_t v = g_counters[id].value.load(std::memory_order_relaxed);
+    if (v != 0) out.push_back({interned_name(NameKind::kCounter, id), v});
   }
   // Saturated registries must not disappear from reports: surface the drop
   // count as a synthetic counter that cannot itself be dropped.
   const std::uint64_t dropped = g_dropped.load(std::memory_order_relaxed);
   if (dropped != 0) out.push_back({"metrics_dropped", dropped});
+  sort_by_name(out);
   return out;
 }
 
 GaugeId Metrics::gauge(const std::string& name) {
-  {
-    std::lock_guard lock(registry_mu());
-    auto& names = gauge_registry();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return static_cast<GaugeId>(i);
-    }
-    if (names.size() < static_cast<std::size_t>(kMaxGauges)) {
-      names.push_back(name);
-      const auto id = static_cast<GaugeId>(names.size() - 1);
-      Crashbox::note_gauge(id, name.c_str());
-      return id;
-    }
-  }
-  return register_dropped("gauge", kMaxGauges);
+  const int id = intern_name(NameKind::kGauge, name);
+  return id >= 0 ? id : register_dropped("gauge", kMaxGauges);
 }
 
 void Metrics::gauge_set(GaugeId id, std::int64_t value) noexcept {
@@ -292,17 +213,13 @@ std::int64_t Metrics::gauge_value(GaugeId id) noexcept {
 }
 
 std::vector<GaugeStats> Metrics::gauges_snapshot() {
-  std::vector<std::string> names;
-  {
-    std::lock_guard lock(registry_mu());
-    names = gauge_registry();
-  }
   std::vector<GaugeStats> out;
-  out.reserve(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
+  for (GaugeId id = 0; id < interned_count(NameKind::kGauge); ++id) {
     // Zero is kept: an empty queue is a reading, not a non-event.
-    out.push_back({names[i], g_gauges[i].value.load(std::memory_order_relaxed)});
+    out.push_back({interned_name(NameKind::kGauge, id),
+                   g_gauges[id].value.load(std::memory_order_relaxed)});
   }
+  sort_by_name(out);
   return out;
 }
 
@@ -312,7 +229,13 @@ std::uint64_t Metrics::dropped() {
 
 void Metrics::reset() {
   for (auto& s : g_named) s.reset();
-  for (auto& s : g_phase_ns) s.reset();
+  for (PhaseRecord& r : g_phases) {
+    r.ns.reset();
+    r.flops.store(0, std::memory_order_relaxed);
+    r.bytes.store(0, std::memory_order_relaxed);
+    r.pmu_spans.store(0, std::memory_order_relaxed);
+    for (auto& v : r.pmu) v.store(0, std::memory_order_relaxed);
+  }
   for (auto& s : g_counters) s.value.store(0, std::memory_order_relaxed);
   for (auto& s : g_gauges) s.value.store(0, std::memory_order_relaxed);
   g_dropped.store(0, std::memory_order_relaxed);

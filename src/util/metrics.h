@@ -1,4 +1,4 @@
-// Metrics registry: named log-bucketed latency/size histograms.
+// Metrics: named log-bucketed latency/size histograms, counters and gauges.
 //
 // The aggregate per-phase totals of util/trace.h answer "where did the time
 // go"; the histograms here answer "what was the *distribution*" -- the shape
@@ -7,9 +7,10 @@
 // Tracer's accumulators but jumps out of a percentile summary.
 //
 // Design, mirroring the Tracer:
-//   * Names are interned once into a fixed table of kMaxHistograms slots;
-//     recording is a relaxed atomic increment into a log-bucketed count
-//     array (no locks, no allocation on the hot path).
+//   * Names are interned once into the one name registry (util/trace.h,
+//     kMaxHistograms slots per kind); recording is a relaxed atomic
+//     increment into a log-bucketed count array indexed by id (no locks,
+//     no allocation on the hot path).
 //   * Buckets are logarithmic with 4 linear sub-buckets per octave, so the
 //     relative bucket width is at most 25% over the full uint64 range and
 //     values 0..3 are exact.  Percentiles are estimated by linear
@@ -22,10 +23,12 @@
 // Alongside the explicitly named histograms, every trace phase gets an
 // implicit `<phase>_ns` latency histogram fed by TraceSpan, so per-step
 // reflector build/apply latency distributions come for free wherever spans
-// already exist.  Snapshots land in the perf report's "histograms" section
-// (docs/OBSERVABILITY.md).
+// already exist.  That histogram lives in the phase's PhaseRecord below,
+// next to the phase's flops, bytes and PMU deltas; its count and sum are
+// the phase's calls and wall time.  Snapshots land in the perf report's
+// "histograms" section (docs/OBSERVABILITY.md).
 //
-// Three accumulator kinds now share the registry machinery:
+// Three accumulator kinds share the name registry:
 //   * histograms -- "what was the distribution" (latencies, sizes);
 //   * counters   -- monotonic "how often did it happen" event counts;
 //   * gauges     -- "how much right now": set/add semantics for live state
@@ -43,6 +46,8 @@
 // the old throwing behaviour did).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -90,6 +95,50 @@ struct HistogramStats {
   [[nodiscard]] double quantile(double q) const;
 };
 
+/// Lock-free accumulators of one histogram.  Min/max use CAS loops
+/// (updates are rare once the range has been seen); bucket counts are
+/// relaxed fetch-adds.
+struct HistogramCells {
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> min{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> max{0};
+  std::atomic<std::uint64_t> buckets[kHistBuckets] = {};
+
+  void record(std::uint64_t v) noexcept;
+  void reset() noexcept;
+  [[nodiscard]] HistogramStats stats(std::string name) const;
+};
+
+/// Everything a span charges to its phase, kept once: TraceSpan::close
+/// records the latency, flops and bytes, and Prof::on_span_close adds the
+/// span's PMU deltas (in PmuCounts field order).  Tracer::snapshot reads
+/// calls and seconds from `ns`'s count and sum; Metrics::snapshot lists
+/// `ns` as `<phase>_ns`.
+struct alignas(64) PhaseRecord {
+  HistogramCells ns;
+  std::atomic<std::uint64_t> flops{0};
+  std::atomic<std::uint64_t> bytes{0};
+  std::atomic<std::uint64_t> pmu_spans{0};
+  std::atomic<std::uint64_t> pmu[kPmuCounters] = {};
+
+  void charge(std::uint64_t wall_ns, std::uint64_t dflops, std::uint64_t dbytes) noexcept {
+    ns.record(wall_ns);
+    flops.fetch_add(dflops, std::memory_order_relaxed);
+    bytes.fetch_add(dbytes, std::memory_order_relaxed);
+  }
+};
+
+/// The record of phase `id`, 0 <= id < Tracer::kMaxPhases.
+PhaseRecord& phase_record(PhaseId id) noexcept;
+
+/// Orders snapshot entries by name (every snapshot returns name order).
+template <typename Stats>
+void sort_by_name(std::vector<Stats>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const Stats& x, const Stats& y) { return x.name < y.name; });
+}
+
 /// Copied-out state of one named counter.
 struct CounterStats {
   std::string name;
@@ -102,24 +151,22 @@ struct GaugeStats {
   std::int64_t value = 0;
 };
 
-/// Process-wide histogram registry (accumulators live for the process).
+/// Process-wide histograms, counters and gauges (accumulators live for the
+/// process).
 class Metrics {
  public:
   /// Interns `name`, returning its id (idempotent).  Once kMaxHistograms
   /// distinct names exist further registrations return an invalid id whose
   /// records no-op, bump the `metrics_dropped` counter and fire a one-shot
-  /// `metrics_registry_full` watchdog warning (no silent caps).
+  /// `metrics_registry_full` watchdog warning (no silent caps).  A name
+  /// longer than kMaxNameLen throws std::length_error.
   static HistId histogram(const std::string& name);
 
   /// Adds one sample.  Lock-free; callers gate on Tracer::enabled().
   static void record(HistId id, std::uint64_t value) noexcept;
 
-  /// Adds one sample to the phase's implicit `<phase>_ns` latency
-  /// histogram (used by TraceSpan; callers gate on Tracer::enabled()).
-  static void record_phase_ns(PhaseId id, std::uint64_t ns) noexcept;
-
-  /// Copies out every histogram with at least one sample, named histograms
-  /// first, then the implicit per-phase `<phase>_ns` ones.
+  /// Copies out every histogram with at least one sample -- the named ones
+  /// and the per-phase `<phase>_ns` ones -- in name order.
   static std::vector<HistogramStats> snapshot();
 
   /// Interns a monotonic event counter (idempotent; same overflow contract
@@ -136,8 +183,8 @@ class Metrics {
   /// Current value of one counter (0 for an invalid id).
   static std::uint64_t counter_value(CtrId id) noexcept;
 
-  /// Copies out every counter with a non-zero value, in interning order,
-  /// appending a synthetic `metrics_dropped` entry when any registration
+  /// Copies out every counter with a non-zero value, in name order,
+  /// including a synthetic `metrics_dropped` entry when any registration
   /// overflowed a kMax* table.  Lands in the perf report's "counters"
   /// section (additive, schema v1).
   static std::vector<CounterStats> counters_snapshot();
@@ -157,20 +204,21 @@ class Metrics {
   static std::int64_t gauge_value(GaugeId id) noexcept;
 
   /// Copies out every registered gauge (zero readings included -- an empty
-  /// queue is a measurement), in interning order.
+  /// queue is a measurement), in name order.
   static std::vector<GaugeStats> gauges_snapshot();
 
   /// Registrations refused because a kMax* table was full (the value the
   /// synthetic `metrics_dropped` counter reports).
   static std::uint64_t dropped();
 
-  /// Zeroes every accumulator and the drop count, and re-arms the one-shot
-  /// registry-full warning (names/ids are preserved).
+  /// Zeroes every accumulator (the phase records included) and the drop
+  /// count, and re-arms the one-shot registry-full warning (names/ids are
+  /// preserved).
   static void reset();
 
-  static constexpr int kMaxHistograms = 64;
-  static constexpr int kMaxCounters = 64;
-  static constexpr int kMaxGauges = 64;
+  static constexpr int kMaxHistograms = kNameSlots;
+  static constexpr int kMaxCounters = kNameSlots;
+  static constexpr int kMaxGauges = kNameSlots;
 };
 
 }  // namespace bst::util

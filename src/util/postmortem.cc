@@ -1,11 +1,9 @@
 #include "util/postmortem.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -35,21 +33,6 @@ bool plausible_event(const FlightEvent& e) {
   const auto kind = static_cast<std::uint8_t>(e.kind);
   if (kind > static_cast<std::uint8_t>(EventKind::kInstant)) return false;
   return e.phase >= -1 && e.phase < 65536;
-}
-
-double unbits(std::uint64_t u) {
-  double v = 0.0;
-  std::memcpy(&v, &u, sizeof v);
-  return v;
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -142,14 +125,14 @@ CrashReport read_crash_report(const std::string& path) {
       }
       if (tag != "ring") continue;
       // ring <tid> <virtual> <head> <cap> <count> <dropped> <label>
-      CrashRing ring;
+      ThreadEvents ring;
       std::string r2, r3, r4, r5, r6;
       ring.tid = static_cast<std::uint32_t>(to_u64(split_first(rest, &r2)));
       ring.virtual_time = to_u64(split_first(r2, &r3)) != 0;
-      ring.head = to_u64(split_first(r3, &r4));
-      ring.cap = to_u64(split_first(r4, &r5));
+      split_first(r3, &r4);  // head: unused, count says how many follow
+      split_first(r4, &r5);  // cap: unused
       const std::uint64_t count = to_u64(split_first(r5, &r6));
-      ring.dropped = to_u64(split_first(r6, &ring.label));
+      ring.dropped = to_u64(split_first(r6, &ring.label));  // lost to wrap
       if (rep.event_size == 0 || count > (1ull << 32)) break;  // malformed: stop
       std::vector<char> raw(static_cast<std::size_t>(count) * rep.event_size);
       if (!f.read(raw.data(), static_cast<std::streamsize>(raw.size()))) {
@@ -169,6 +152,7 @@ CrashReport read_crash_report(const std::string& path) {
         }
         ++ring.torn;  // torn record, or a cross-version event size
       }
+      count_unmatched_ends(ring);
       rep.rings.push_back(std::move(ring));
       f.get();  // the '\n' after the raw bytes
       continue;
@@ -256,7 +240,7 @@ std::string crash_summary(const CrashReport& rep) {
   }
 
   std::uint64_t events = 0, dropped = 0, torn = 0;
-  for (const CrashRing& ring : rep.rings) {
+  for (const ThreadEvents& ring : rep.rings) {
     events += ring.events.size();
     dropped += ring.dropped;
     torn += ring.torn;
@@ -265,110 +249,17 @@ std::string crash_summary(const CrashReport& rep) {
      << " dropped, " << torn << " torn";
   if (rep.rings_skipped > 0) os << ", " << rep.rings_skipped << " rings skipped";
   os << "):\n";
-  for (const CrashRing& ring : rep.rings) {
+  for (const ThreadEvents& ring : rep.rings) {
     os << "  tid " << ring.tid << " '" << ring.label << "' " << ring.events.size()
        << " events";
     // The deepest still-open span is where that thread died.
-    std::vector<PhaseId> stack;
-    for (const FlightEvent& e : ring.events) {
-      if (e.kind == EventKind::kBegin) stack.push_back(e.phase);
-      else if (e.kind == EventKind::kEnd && !stack.empty()) stack.pop_back();
+    const SpanWalk walk = walk_spans(ring.events);
+    if (!walk.open.empty()) {
+      os << ", open span: " << rep.phase_name(ring.events[walk.open.back()].phase);
     }
-    if (!stack.empty()) os << ", open span: " << rep.phase_name(stack.back());
     os << "\n";
   }
   return os.str();
-}
-
-void write_crash_trace(const CrashReport& rep, std::ostream& os) {
-  // Common steady-clock origin (virtual tracks are already zero-based).
-  std::uint64_t t0 = ~std::uint64_t{0};
-  bool any_real = false;
-  for (const CrashRing& ring : rep.rings) {
-    if (ring.virtual_time) continue;
-    for (const FlightEvent& e : ring.events) {
-      any_real = true;
-      t0 = std::min(t0, e.ts_ns);
-    }
-  }
-  if (!any_real) t0 = 0;
-
-  os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
-  bool first = true;
-  auto emit = [&](const std::string& body) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "    " << body;
-  };
-  for (const CrashRing& ring : rep.rings) {
-    if (ring.label.empty()) continue;
-    std::ostringstream b;
-    b << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " << ring.tid
-      << ", \"args\": {\"name\": ";
-    write_json_string(b, ring.label);
-    b << "}}";
-    emit(b.str());
-  }
-  for (const CrashRing& ring : rep.rings) {
-    // Re-balance exactly like the live exporter; Begins still open at the
-    // crash are emitted as instants so the viewer shows where it died.
-    std::vector<char> emit_flag(ring.events.size(), 0);
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < ring.events.size(); ++i) {
-      switch (ring.events[i].kind) {
-        case EventKind::kBegin: stack.push_back(i); break;
-        case EventKind::kEnd:
-          if (!stack.empty()) {
-            emit_flag[stack.back()] = 1;
-            emit_flag[i] = 1;
-            stack.pop_back();
-          }
-          break;
-        case EventKind::kInstant: emit_flag[i] = 1; break;
-      }
-    }
-    auto ts_of = [&](const FlightEvent& e) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    static_cast<double>(e.ts_ns - (ring.virtual_time ? 0 : t0)) * 1e-3);
-      return std::string(buf);
-    };
-    for (std::size_t i = 0; i < ring.events.size(); ++i) {
-      const FlightEvent& e = ring.events[i];
-      const bool open_at_crash =
-          e.kind == EventKind::kBegin && !emit_flag[i];
-      if (!emit_flag[i] && !open_at_crash) continue;
-      std::ostringstream b;
-      b << "{\"name\": ";
-      write_json_string(b, rep.phase_name(e.phase) +
-                               (open_at_crash ? " (open at crash)" : ""));
-      const char ph = open_at_crash                  ? 'i'
-                      : e.kind == EventKind::kBegin  ? 'B'
-                      : e.kind == EventKind::kEnd    ? 'E'
-                                                     : 'i';
-      b << ", \"ph\": \"" << ph << "\"";
-      if (ph == 'i') b << ", \"s\": \"t\"";
-      b << ", \"pid\": 1, \"tid\": " << ring.tid << ", \"ts\": " << ts_of(e);
-      b << ", \"args\": {\"step\": " << e.step;
-      if (e.kind == EventKind::kInstant) {
-        char v[40], t[40];
-        std::snprintf(v, sizeof v, "%.17g", unbits(e.a));
-        std::snprintf(t, sizeof t, "%.17g", unbits(e.b));
-        b << ", \"value\": " << v << ", \"threshold\": " << t;
-      }
-      b << "}}";
-      emit(b.str());
-    }
-    if (ring.dropped > 0 || ring.torn > 0) {
-      std::ostringstream b;
-      b << "{\"name\": \"flight_recorder_dropped\", \"ph\": \"i\", \"s\": \"t\", "
-           "\"pid\": 1, \"tid\": "
-        << ring.tid << ", \"ts\": 0.000, \"args\": {\"dropped\": " << ring.dropped
-        << ", \"torn\": " << ring.torn << "}}";
-      emit(b.str());
-    }
-  }
-  os << "\n  ]\n}\n";
 }
 
 }  // namespace bst::util

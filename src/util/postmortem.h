@@ -1,8 +1,11 @@
 // Decoder for crashbox reports ("BSTCRASH v1", util/crashbox.h): parses the
-// artifact back into structured form, renders a human-readable summary, and
-// exports the final flight-recorder rings as a chrome-trace/Perfetto JSON
-// document.  `tools/bst_postmortem` is the CLI over this; the library form
-// exists so tests can round-trip a dump without shelling out.
+// artifact back into structured form and renders a human-readable summary.
+// The final flight-recorder rings decode into the live recorder's own
+// ThreadEvents (util/flight_recorder.h), with the same dropped accounting,
+// so FlightRecorder::write_chrome_trace exports them as a chrome-trace/
+// Perfetto document named by the report's phase table.  `tools/
+// bst_postmortem` is the CLI over this; the library form exists so tests
+// can round-trip a dump without shelling out.
 //
 // A report written from a signal handler can be imperfect: individual ring
 // events may be torn (another thread was mid-push), and a report can be
@@ -12,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,18 +22,6 @@
 #include "util/flight_recorder.h"
 
 namespace bst::util {
-
-/// One decoded ring: the header fields plus the valid-filtered events.
-struct CrashRing {
-  std::uint32_t tid = 0;
-  bool virtual_time = false;
-  std::uint64_t head = 0;
-  std::uint64_t cap = 0;
-  std::uint64_t dropped = 0;     // wrap-lost events (as counted at dump time)
-  std::uint64_t torn = 0;        // events discarded as unparseable
-  std::string label;
-  std::vector<FlightEvent> events;  // oldest first
-};
 
 struct CrashRequest {
   std::uint64_t id = 0;
@@ -53,7 +43,7 @@ struct CrashReport {
   std::string last_tick;         // raw JSON tick line ("" = none captured)
   bool tick_torn = false;
   std::size_t event_size = 0;    // sizeof(FlightEvent) in the writing process
-  std::vector<CrashRing> rings;
+  std::vector<ThreadEvents> rings;  // valid events only; torn ones counted
   std::uint64_t rings_skipped = 0;
   bool truncated = false;        // file ended before the `end` marker
 
@@ -67,10 +57,5 @@ CrashReport read_crash_report(const std::string& path);
 
 /// Human-readable multi-line rendering (what `bst_postmortem` prints).
 std::string crash_summary(const CrashReport& report);
-
-/// Chrome-trace JSON of the report's rings, same shape as
-/// FlightRecorder::write_chrome_trace but driven entirely by the decoded
-/// report (phase names included), so it works across processes.
-void write_crash_trace(const CrashReport& report, std::ostream& os);
 
 }  // namespace bst::util

@@ -37,7 +37,7 @@ namespace {
 // Counter layout shared by the perf groups and the per-phase accumulators.
 // ---------------------------------------------------------------------------
 
-enum Ctr : int {
+enum Ctr : int {  // PmuCounts field order: PhaseRecord::pmu is indexed by it
   kCycles = 0,
   kInstructions,
   kStalledCycles,
@@ -48,6 +48,7 @@ enum Ctr : int {
   kLlcMisses,
   kNumCtr
 };
+static_assert(kNumCtr == kPmuCounters);
 
 // PMU availability, resolved once by the first thread that tries to open a
 // counter group: 0 = not attempted, 1 = ok, 2 = unavailable, 3 = disabled
@@ -60,13 +61,6 @@ std::atomic<bool> g_armed{false};
 std::atomic<bool> g_was_armed{false};
 std::atomic<bool> g_pmu_wanted{false};
 std::atomic<std::uint64_t> g_pmu_threads{0};  // threads with open groups
-
-// Per-phase accumulated hardware deltas, parallel to the Tracer's slots.
-struct alignas(64) PmuSlot {
-  std::atomic<std::uint64_t> spans{0};
-  std::atomic<std::uint64_t> v[kNumCtr]{};
-};
-PmuSlot g_pmu_slots[Tracer::kMaxPhases];
 
 // Process-wide running totals feeding the live telemetry gauges.
 std::atomic<std::uint64_t> g_pmu_total[kNumCtr]{};
@@ -691,12 +685,12 @@ void Prof::on_span_close(PhaseId id) noexcept {
       c1.l1d_loads - f.c0.l1d_loads,     c1.l1d_misses - f.c0.l1d_misses,
       c1.llc_loads - f.c0.llc_loads,     c1.llc_misses - f.c0.llc_misses,
   };
-  PmuSlot& slot = g_pmu_slots[id];
-  slot.spans.fetch_add(1, std::memory_order_relaxed);
+  PhaseRecord& rec = phase_record(id);
+  rec.pmu_spans.fetch_add(1, std::memory_order_relaxed);
   for (int i = 0; i < kNumCtr; ++i) {
     // Scaled counters can regress a hair between reads; clamp at zero.
     const std::uint64_t dv = d[i] <= (UINT64_C(1) << 62) ? d[i] : 0;
-    slot.v[i].fetch_add(dv, std::memory_order_relaxed);
+    rec.pmu[i].fetch_add(dv, std::memory_order_relaxed);
     g_pmu_total[i].fetch_add(dv, std::memory_order_relaxed);
   }
   update_live_gauges();
@@ -712,28 +706,6 @@ std::string Prof::pmu_status() {
   if (s != nullptr) return s;
   std::lock_guard lock(g_pmu_err_mu);
   return g_pmu_err[0] != 0 ? g_pmu_err : "unavailable";
-}
-
-std::vector<PhasePmu> Prof::pmu_snapshot() {
-  std::vector<PhasePmu> out;
-  for (int id = 0; id < Tracer::kMaxPhases; ++id) {
-    const PmuSlot& s = g_pmu_slots[id];
-    const std::uint64_t spans = s.spans.load(std::memory_order_relaxed);
-    if (spans == 0) continue;
-    PhasePmu p;
-    p.id = id;
-    p.spans = spans;
-    p.c.cycles = s.v[kCycles].load(std::memory_order_relaxed);
-    p.c.instructions = s.v[kInstructions].load(std::memory_order_relaxed);
-    p.c.stalled_cycles = s.v[kStalledCycles].load(std::memory_order_relaxed);
-    p.c.branch_misses = s.v[kBranchMisses].load(std::memory_order_relaxed);
-    p.c.l1d_loads = s.v[kL1dLoads].load(std::memory_order_relaxed);
-    p.c.l1d_misses = s.v[kL1dMisses].load(std::memory_order_relaxed);
-    p.c.llc_loads = s.v[kLlcLoads].load(std::memory_order_relaxed);
-    p.c.llc_misses = s.v[kLlcMisses].load(std::memory_order_relaxed);
-    out.push_back(p);
-  }
-  return out;
 }
 
 void Prof::set_request(std::uint64_t id) noexcept { t_req = id; }
@@ -885,10 +857,6 @@ Prof::Artifacts Prof::write_artifacts() {
 }
 
 void Prof::reset() noexcept {
-  for (PmuSlot& s : g_pmu_slots) {
-    s.spans.store(0, std::memory_order_relaxed);
-    for (auto& v : s.v) v.store(0, std::memory_order_relaxed);
-  }
   for (auto& v : g_pmu_total) v.store(0, std::memory_order_relaxed);
   if (!g_sampling.load(std::memory_order_relaxed)) {
     // Drop captured samples (rings stay claimed by their threads; only the

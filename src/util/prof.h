@@ -46,27 +46,6 @@
 
 namespace bst::util {
 
-/// One thread-and-interval's worth of scaled hardware counter readings.
-/// Multiplex scaling (time_enabled / time_running) is already applied;
-/// counters whose event could not be opened stay 0.
-struct PmuCounts {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t stalled_cycles = 0;
-  std::uint64_t branch_misses = 0;
-  std::uint64_t l1d_loads = 0;
-  std::uint64_t l1d_misses = 0;
-  std::uint64_t llc_loads = 0;
-  std::uint64_t llc_misses = 0;
-};
-
-/// Accumulated PMU deltas of one phase (mirrors PhaseStats).
-struct PhasePmu {
-  PhaseId id = -1;
-  std::uint64_t spans = 0;  // spans that contributed a hardware delta
-  PmuCounts c;
-};
-
 /// Copied-out sampler state.
 struct SamplerStats {
   bool enabled = false;          // a sampling timer was started this run
@@ -114,8 +93,9 @@ class Prof {
   static bool was_armed() noexcept;
 
   /// TraceSpan hooks (called by util/trace.cc while armed): maintain the
-  /// per-thread span stack the sampler attributes against and snapshot/
-  /// commit the PMU counter deltas.
+  /// per-thread span stack the sampler attributes against and add each
+  /// span's PMU counter deltas to its phase's record (util/metrics.h), which
+  /// Tracer::snapshot() reads back as PhaseStats::pmu.
   static void on_span_open(PhaseId id) noexcept;
   static void on_span_close(PhaseId id) noexcept;
 
@@ -124,9 +104,6 @@ class Prof {
   /// "unavailable: <reason>".
   static bool pmu_available() noexcept;
   static std::string pmu_status();
-
-  /// Per-phase accumulated hardware deltas (phases with >= 1 span only).
-  static std::vector<PhasePmu> pmu_snapshot();
 
   /// Tags the calling thread's samples with a request id (0 = none); the
   /// service dispatcher sets this to the batch it is serving, matching the
@@ -153,8 +130,9 @@ class Prof {
   };
   static Artifacts write_artifacts();
 
-  /// Zeroes per-phase PMU accumulators, drops samples and clears
-  /// was_armed() (called by Tracer::reset(); thread fds stay open).
+  /// Zeroes the live-gauge PMU totals, drops samples and clears
+  /// was_armed() (called by Tracer::reset(), which zeroes the per-phase PMU
+  /// deltas with the phase records; thread fds stay open).
   static void reset() noexcept;
 
   static constexpr int kMaxSpanDepth = 24;   // nested-span attribution stack

@@ -545,34 +545,23 @@ Json PerfReport::build(bool include_tracer) const {
   root.set("build", std::move(buildinfo));
 
   if (include_tracer) {
-    // Phase interning, histogram registration and warning arrival orders
-    // all depend on thread timing; sort every keyed section so identical
-    // runs serialize byte-identically (and bst_report diffs stay stable).
+    // Every snapshot comes in name order (phase interning, histogram
+    // registration and warning arrival orders all depend on thread timing),
+    // so identical runs serialize byte-identically and bst_report diffs
+    // stay stable.
     Json phases = Json::object();
-    std::vector<PhaseStats> phase_stats = Tracer::snapshot();
-    std::sort(phase_stats.begin(), phase_stats.end(),
-              [](const PhaseStats& x, const PhaseStats& y) { return x.name < y.name; });
-    // Hardware-truth join (util/prof): phases that accumulated PMU deltas
-    // carry the measured counters next to the modeled flops/bytes.
-    // `measured_bytes` estimates DRAM traffic as LLC misses x 64-byte
-    // lines; attainment_section() joins it against the modeled bytes.
-    std::map<std::string, PmuCounts> pmu_by_name;
-    if (Prof::was_armed()) {
-      const std::vector<std::string> phase_names = Tracer::phase_names();
-      for (const PhasePmu& pp : Prof::pmu_snapshot()) {
-        if (pp.id >= 0 && static_cast<std::size_t>(pp.id) < phase_names.size()) {
-          pmu_by_name[phase_names[static_cast<std::size_t>(pp.id)]] = pp.c;
-        }
-      }
-    }
-    for (const PhaseStats& ps : phase_stats) {
+    for (const PhaseStats& ps : Tracer::snapshot()) {
       Json p = Json::object();
       p.set("calls", Json::number(ps.calls));
       p.set("seconds", Json::number(ps.seconds));
       p.set("flops", Json::number(ps.flops));
       p.set("bytes", Json::number(ps.bytes));
-      if (const auto it = pmu_by_name.find(ps.name); it != pmu_by_name.end()) {
-        const PmuCounts& c = it->second;
+      // Hardware truth (util/prof): phases whose spans took PMU deltas
+      // carry the measured counters next to the modeled flops/bytes.
+      // `measured_bytes` estimates DRAM traffic as LLC misses x 64-byte
+      // lines; attainment_section() joins it against the modeled bytes.
+      if (ps.pmu_spans > 0) {
+        const PmuCounts& c = ps.pmu;
         p.set("cycles", Json::number(c.cycles));
         p.set("instructions", Json::number(c.instructions));
         if (c.cycles > 0) {
@@ -611,10 +600,7 @@ Json PerfReport::build(bool include_tracer) const {
     if (!steps.items().empty()) root.set("steps", std::move(steps));
 
     Json hists = Json::object();
-    std::vector<HistogramStats> hist_stats = Metrics::snapshot();
-    std::sort(hist_stats.begin(), hist_stats.end(),
-              [](const HistogramStats& x, const HistogramStats& y) { return x.name < y.name; });
-    for (const HistogramStats& hs : hist_stats) {
+    for (const HistogramStats& hs : Metrics::snapshot()) {
       Json h = Json::object();
       h.set("count", Json::number(hs.count));
       h.set("min", Json::number(hs.min));
@@ -660,19 +646,15 @@ Json PerfReport::build(bool include_tracer) const {
   // Counters accumulate whether or not the tracer ran (like the pool's
   // chunk counts), so they are reported even in an untraced run.
   Json counters = Json::object();
-  std::vector<CounterStats> ctr_stats = Metrics::counters_snapshot();
-  std::sort(ctr_stats.begin(), ctr_stats.end(),
-            [](const CounterStats& x, const CounterStats& y) { return x.name < y.name; });
-  for (const CounterStats& cs : ctr_stats) counters.set(cs.name, Json::number(cs.value));
+  for (const CounterStats& cs : Metrics::counters_snapshot()) {
+    counters.set(cs.name, Json::number(cs.value));
+  }
   if (!counters.members().empty()) root.set("counters", std::move(counters));
 
   // Gauges are instantaneous, so the report records them as "state at write
   // time" -- nonzero readings only, to keep single-run reports quiet.
   Json gauges = Json::object();
-  std::vector<GaugeStats> gauge_stats = Metrics::gauges_snapshot();
-  std::sort(gauge_stats.begin(), gauge_stats.end(),
-            [](const GaugeStats& x, const GaugeStats& y) { return x.name < y.name; });
-  for (const GaugeStats& gs : gauge_stats) {
+  for (const GaugeStats& gs : Metrics::gauges_snapshot()) {
     if (gs.value != 0) gauges.set(gs.name, Json::number(gs.value));
   }
   if (!gauges.members().empty()) root.set("gauges", std::move(gauges));

@@ -184,35 +184,26 @@ std::string telemetry_tick_json(std::uint64_t seq, const TelemetrySnapshot& snap
   tick.set("slo_p99_ms", Json::number(d.slo_p99_ms));
   tick.set("burn_rate", Json::number(d.burn_rate));
 
-  std::vector<std::pair<std::string, std::uint64_t>> ctrs;
-  for (const CounterStats& c : snap.counters) ctrs.emplace_back(c.name, c.value);
-  std::sort(ctrs.begin(), ctrs.end());
+  // Snapshots come in name order (util/metrics.h), so the sections do too.
   Json counters = Json::object();
-  for (const auto& [name, value] : ctrs) counters.set(name, Json::number(value));
+  for (const CounterStats& c : snap.counters) counters.set(c.name, Json::number(c.value));
   tick.set("counters", std::move(counters));
 
-  std::vector<std::pair<std::string, std::int64_t>> gs;
-  for (const GaugeStats& g : snap.gauges) gs.emplace_back(g.name, g.value);
-  std::sort(gs.begin(), gs.end());
   Json gauges = Json::object();
-  for (const auto& [name, value] : gs) gauges.set(name, Json::number(value));
+  for (const GaugeStats& g : snap.gauges) gauges.set(g.name, Json::number(g.value));
   tick.set("gauges", std::move(gauges));
 
-  std::vector<const HistogramStats*> hs;
-  for (const HistogramStats& h : snap.histograms) hs.push_back(&h);
-  std::sort(hs.begin(), hs.end(),
-            [](const HistogramStats* a, const HistogramStats* b) { return a->name < b->name; });
   Json hists = Json::object();
-  for (const HistogramStats* h : hs) {
+  for (const HistogramStats& h : snap.histograms) {
     Json o = Json::object();
-    o.set("count", Json::number(h->count));
-    o.set("sum", Json::number(h->sum));
-    o.set("min", Json::number(h->min));
-    o.set("max", Json::number(h->max));
-    o.set("p50", Json::number(h->p50));
-    o.set("p95", Json::number(h->p95));
-    o.set("p99", Json::number(h->p99));
-    hists.set(h->name, std::move(o));
+    o.set("count", Json::number(h.count));
+    o.set("sum", Json::number(h.sum));
+    o.set("min", Json::number(h.min));
+    o.set("max", Json::number(h.max));
+    o.set("p50", Json::number(h.p50));
+    o.set("p95", Json::number(h.p95));
+    o.set("p99", Json::number(h.p99));
+    hists.set(h.name, std::move(o));
   }
   tick.set("histograms", std::move(hists));
   return tick.dump_compact();

@@ -12,7 +12,7 @@
 //     counter, gauge, and histogram (util/metrics.h).  Pure data.
 //   * The pure serializers telemetry_tick_json() and prometheus_exposition():
 //     deterministic functions of (snapshot, derived stats) -- same inputs,
-//     byte-identical output, section entries sorted by name.  Tested without
+//     byte-identical output, section entries in name order.  Tested without
 //     any thread or clock (tests/test_telemetry.cc).
 //   * TelemetryExporter: the background thread.  Every interval_ms it
 //     captures a snapshot, derives rolling-window QPS/p50/p99/burn-rate from
@@ -77,7 +77,8 @@ struct TelemetryOptions {
   [[nodiscard]] bool active() const { return !out.empty() || !prom.empty(); }
 };
 
-/// One timestamped copy of every Metrics accumulator.
+/// One timestamped copy of every Metrics accumulator, each section in name
+/// order (as Metrics' snapshots return them).
 struct TelemetrySnapshot {
   std::uint64_t ts_ns = 0;  // TraceClock stamp at capture
   std::vector<CounterStats> counters;
@@ -109,7 +110,7 @@ struct TelemetryDerived {
                                                 const TelemetryOptions& opt);
 
 /// One compact JSONL tick line (no trailing newline).  Deterministic:
-/// counters/gauges/histograms are emitted sorted by name.
+/// counters/gauges/histograms are emitted in the snapshot's (name) order.
 [[nodiscard]] std::string telemetry_tick_json(std::uint64_t seq,
                                               const TelemetrySnapshot& snap,
                                               const TelemetryDerived& d,

@@ -1,10 +1,10 @@
 #include "util/trace.h"
 
 #include <chrono>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 
-#include "util/crashbox.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
 #include "util/prof.h"
@@ -15,28 +15,18 @@ namespace {
 
 thread_local std::int64_t t_current_step = 0;
 
-// Fixed-capacity accumulator slots: commit() must stay lock-free, so the
-// registry only ever appends names and the per-phase atomics live in a
-// static array (cache-line padded against false sharing between phases
-// committed from different threads).
-struct alignas(64) PhaseSlot {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> wall_ns{0};
-  std::atomic<std::uint64_t> flops{0};
-  std::atomic<std::uint64_t> bytes{0};
+// The name registry: one fixed table per NameKind.  Both globals are
+// constant-initialized (constinit), so interning works from any
+// translation unit's namespace-scope initializers regardless of load order.
+struct KindTable {
+  char names[kNameSlots][kMaxNameLen + 1];
+  std::atomic<int> count;
 };
 
-PhaseSlot g_slots[Tracer::kMaxPhases];
+constinit KindTable g_names[4]{};
+constinit std::mutex g_names_mu;
 
-std::mutex& registry_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::vector<std::string>& registry() {
-  static std::vector<std::string> names;
-  return names;
-}
+KindTable& table(NameKind kind) noexcept { return g_names[static_cast<int>(kind)]; }
 
 std::mutex& steps_mu() {
   static std::mutex mu;
@@ -54,40 +44,52 @@ thread_local std::uint64_t ByteCounter::count_ = 0;
 
 std::atomic<bool> Tracer::enabled_{false};
 
+int intern_name(NameKind kind, const std::string& name) {
+  if (name.size() > kMaxNameLen) {
+    throw std::length_error("name '" + name + "' is longer than 47 characters");
+  }
+  KindTable& t = table(kind);
+  std::lock_guard lock(g_names_mu);
+  const int n = t.count.load(std::memory_order_relaxed);
+  for (int i = 0; i < n; ++i) {
+    if (name == t.names[i]) return i;
+  }
+  if (n == kNameSlots) return -1;
+  std::memcpy(t.names[n], name.c_str(), name.size() + 1);
+  // The release store publishes the slot written above to lock-free readers.
+  t.count.store(n + 1, std::memory_order_release);
+  return n;
+}
+
+int interned_count(NameKind kind) noexcept {
+  return table(kind).count.load(std::memory_order_acquire);
+}
+
+const char* interned_name(NameKind kind, int id) noexcept {
+  if (id < 0 || id >= interned_count(kind)) return nullptr;
+  return table(kind).names[id];
+}
+
 PhaseId Tracer::phase(const std::string& name) {
-  std::lock_guard lock(registry_mu());
-  auto& names = registry();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<PhaseId>(i);
-  }
-  if (names.size() >= static_cast<std::size_t>(kMaxPhases)) {
-    throw std::length_error("Tracer: phase registry full (kMaxPhases)");
-  }
-  names.push_back(name);
-  const auto id = static_cast<PhaseId>(names.size() - 1);
-  // Mirror into the crashbox name table (fixed, lock-free) so the signal
-  // handler can emit a phase-id -> name mapping without this mutex.
-  Crashbox::note_phase(id, name.c_str());
+  const int id = intern_name(NameKind::kPhase, name);
+  if (id < 0) throw std::length_error("Tracer: phase registry full (kMaxPhases)");
   return id;
 }
 
 std::vector<std::string> Tracer::phase_names() {
-  std::lock_guard lock(registry_mu());
-  return registry();
+  const int n = interned_count(NameKind::kPhase);
+  std::vector<std::string> names;
+  names.reserve(static_cast<std::size_t>(n));
+  for (int id = 0; id < n; ++id) names.emplace_back(table(NameKind::kPhase).names[id]);
+  return names;
 }
 
 void Tracer::reset() {
-  for (PhaseSlot& s : g_slots) {
-    s.calls.store(0, std::memory_order_relaxed);
-    s.wall_ns.store(0, std::memory_order_relaxed);
-    s.flops.store(0, std::memory_order_relaxed);
-    s.bytes.store(0, std::memory_order_relaxed);
-  }
   {
     std::lock_guard lock(steps_mu());
     step_log().clear();
   }
-  Metrics::reset();
+  Metrics::reset();  // the phase records live there
   Watchdog::reset();
   FlightRecorder::reset();
   Prof::reset();
@@ -97,16 +99,6 @@ void Tracer::set_step(std::int64_t step) noexcept { t_current_step = step; }
 
 std::int64_t Tracer::current_step() noexcept { return t_current_step; }
 
-void Tracer::commit(PhaseId id, std::uint64_t wall_ns, std::uint64_t flops,
-                    std::uint64_t bytes) noexcept {
-  if (id < 0 || id >= kMaxPhases) return;
-  PhaseSlot& s = g_slots[id];
-  s.calls.fetch_add(1, std::memory_order_relaxed);
-  s.wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  s.flops.fetch_add(flops, std::memory_order_relaxed);
-  s.bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
 void Tracer::record_step(std::int64_t step, double min_hnorm, double max_generator) {
   if (!enabled()) return;
   std::lock_guard lock(steps_mu());
@@ -114,24 +106,24 @@ void Tracer::record_step(std::int64_t step, double min_hnorm, double max_generat
 }
 
 std::vector<PhaseStats> Tracer::snapshot() {
-  std::vector<std::string> names;
-  {
-    std::lock_guard lock(registry_mu());
-    names = registry();
-  }
   std::vector<PhaseStats> out;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const PhaseSlot& s = g_slots[i];
-    const std::uint64_t calls = s.calls.load(std::memory_order_relaxed);
+  const int n = interned_count(NameKind::kPhase);
+  for (PhaseId id = 0; id < n; ++id) {
+    const PhaseRecord& r = phase_record(id);
+    const std::uint64_t calls = r.ns.count.load(std::memory_order_relaxed);
     if (calls == 0) continue;
+    auto pmu = [&](int i) { return r.pmu[i].load(std::memory_order_relaxed); };
     PhaseStats ps;
-    ps.name = names[i];
+    ps.name = table(NameKind::kPhase).names[id];
     ps.calls = calls;
-    ps.seconds = static_cast<double>(s.wall_ns.load(std::memory_order_relaxed)) * 1e-9;
-    ps.flops = s.flops.load(std::memory_order_relaxed);
-    ps.bytes = s.bytes.load(std::memory_order_relaxed);
+    ps.seconds = static_cast<double>(r.ns.sum.load(std::memory_order_relaxed)) * 1e-9;
+    ps.flops = r.flops.load(std::memory_order_relaxed);
+    ps.bytes = r.bytes.load(std::memory_order_relaxed);
+    ps.pmu_spans = r.pmu_spans.load(std::memory_order_relaxed);
+    ps.pmu = {pmu(0), pmu(1), pmu(2), pmu(3), pmu(4), pmu(5), pmu(6), pmu(7)};
     out.push_back(std::move(ps));
   }
+  sort_by_name(out);
   return out;
 }
 
@@ -163,8 +155,7 @@ void TraceSpan::close() noexcept {
   const std::uint64_t t1 = TraceClock::now_ns();
   const std::uint64_t dflops = FlopCounter::now() - flops0_;
   const std::uint64_t dbytes = ByteCounter::now() - bytes0_;
-  Tracer::commit(id_, t1 - t0_, dflops, dbytes);
-  Metrics::record_phase_ns(id_, t1 - t0_);
+  if (id_ < Tracer::kMaxPhases) phase_record(id_).charge(t1 - t0_, dflops, dbytes);
   if (FlightRecorder::enabled()) FlightRecorder::end(id_, t1, dflops, dbytes);
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,10 +49,53 @@ class ByteCounter {
 /// Stable identifier of an interned phase name.
 using PhaseId = int;
 
+/// The four kinds of interned name: trace phases here, histograms, counters
+/// and gauges in util/metrics.h.
+enum class NameKind : int { kPhase, kHistogram, kCounter, kGauge };
+
+/// One registry holds every interned name: per kind, a fixed table of
+/// kNameSlots slots of kMaxNameLen characters plus a NUL, and a count
+/// published with release order after the slot is written.  Appends take
+/// one mutex; readers (snapshots, the flight-recorder exporter, the
+/// profiler and the crash handler) read the slots with no lock.  The
+/// storage is constant-initialized, so namespace-scope initializers in any
+/// translation unit may intern.  Names live for the process.
+inline constexpr int kNameSlots = 64;
+inline constexpr std::size_t kMaxNameLen = 47;
+
+/// Interns `name` under `kind`, returning its id (idempotent: same name,
+/// same id), or -1 when the kind's kNameSlots slots are full.  A name
+/// longer than kMaxNameLen throws std::length_error.
+int intern_name(NameKind kind, const std::string& name);
+
+/// Names interned under `kind` so far; ids are 0 .. count-1.  Lock-free.
+int interned_count(NameKind kind) noexcept;
+
+/// The name of `id`, or nullptr when no such id exists.  Lock-free and
+/// async-signal-safe; the pointer stays valid for the process.
+const char* interned_name(NameKind kind, int id) noexcept;
+
 /// The steady clock every observability layer shares (nanoseconds).
 struct TraceClock {
   static std::uint64_t now_ns() noexcept;
 };
+
+/// One thread-and-interval's worth of scaled hardware counter readings
+/// (util/prof.h).  Multiplex scaling (time_enabled / time_running) is
+/// already applied; counters whose event could not be opened stay 0.
+struct PmuCounts {
+  std::uint64_t cycles = 0;
+  std::uint64_t instructions = 0;
+  std::uint64_t stalled_cycles = 0;
+  std::uint64_t branch_misses = 0;
+  std::uint64_t l1d_loads = 0;
+  std::uint64_t l1d_misses = 0;
+  std::uint64_t llc_loads = 0;
+  std::uint64_t llc_misses = 0;
+};
+
+/// PmuCounts' fields, in declaration order.
+inline constexpr int kPmuCounters = 8;
 
 /// Accumulated totals of one phase (a snapshot; see Tracer::snapshot).
 struct PhaseStats {
@@ -60,6 +104,8 @@ struct PhaseStats {
   double seconds = 0.0;       // summed wall time (inclusive)
   std::uint64_t flops = 0;    // flops charged on the span's thread
   std::uint64_t bytes = 0;    // bytes charged on the span's thread
+  std::uint64_t pmu_spans = 0;  // spans that contributed a PMU delta (util/prof.h)
+  PmuCounts pmu;                // summed PMU deltas of those spans
 };
 
 /// Per-step numerical diagnostics (Bojanczyk/Brent/de Hoog-style stability
@@ -72,7 +118,8 @@ struct StepDiag {
   double max_generator = 0.0;
 };
 
-/// Process-wide tracer: a registry of named phases with atomic accumulators.
+/// Process-wide tracer: named phases, each with one lock-free record
+/// (util/metrics.h, PhaseRecord) of everything its spans charge.
 ///
 /// Typical call-site pattern (the static local interns the name once):
 ///
@@ -87,10 +134,11 @@ class Tracer {
 
   /// Interns `name`, returning its id (idempotent: same name, same id).
   /// Phases live for the process; there is room for kMaxPhases distinct
-  /// names, after which phase() throws std::length_error.
+  /// names, after which phase() throws std::length_error (as it does for a
+  /// name longer than kMaxNameLen).
   static PhaseId phase(const std::string& name);
 
-  /// Every interned phase name, indexed by PhaseId.
+  /// Every interned phase name, indexed by PhaseId (read without a lock).
   static std::vector<std::string> phase_names();
 
   /// Zeroes every accumulator and drops recorded step diagnostics, and
@@ -106,21 +154,18 @@ class Tracer {
   static void set_step(std::int64_t step) noexcept;
   static std::int64_t current_step() noexcept;
 
-  /// Adds one completed span to phase `id` (used by TraceSpan; also handy
-  /// for charging externally-measured regions, e.g. per-worker busy time).
-  static void commit(PhaseId id, std::uint64_t wall_ns, std::uint64_t flops,
-                     std::uint64_t bytes) noexcept;
-
   /// Records a per-step diagnostic (no-op while disabled).
   static void record_step(std::int64_t step, double min_hnorm, double max_generator);
 
-  /// Copies out every phase with at least one committed span.
+  /// Copies out every phase with at least one closed span, in name order.
+  /// `calls` and `seconds` are the count and sum of the phase's `<phase>_ns`
+  /// histogram: one record holds both.
   static std::vector<PhaseStats> snapshot();
 
   /// Copies out the recorded per-step diagnostics (ordered by record time).
   static std::vector<StepDiag> steps();
 
-  static constexpr int kMaxPhases = 64;
+  static constexpr int kMaxPhases = kNameSlots;
 
  private:
   static std::atomic<bool> enabled_;
@@ -129,9 +174,10 @@ class Tracer {
 /// RAII span: charges the enclosed wall time and the flops/bytes charged on
 /// this thread to the given phase.  When the tracer is disabled both the
 /// constructor and destructor reduce to a relaxed load + branch.  While
-/// enabled, closing a span also feeds the phase's `<phase>_ns` latency
-/// histogram (util/metrics.h) and, when the flight recorder is on, emits
-/// begin/end timeline events (util/flight_recorder.h).
+/// enabled, closing a span records once into the phase's record (its
+/// `<phase>_ns` latency histogram plus flops and bytes) and, when the
+/// flight recorder is on, emits begin/end timeline events
+/// (util/flight_recorder.h).
 class TraceSpan {
  public:
   explicit TraceSpan(PhaseId id) noexcept {
@@ -147,7 +193,7 @@ class TraceSpan {
 
  private:
   void open(PhaseId id) noexcept;   // out of line: touches the recorder
-  void close() noexcept;            // out of line: commit + histogram + event
+  void close() noexcept;            // out of line: phase record + event
 
   PhaseId id_ = -1;  // -1: tracer was disabled at construction
   std::uint64_t t0_ = 0;

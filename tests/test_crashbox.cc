@@ -169,10 +169,10 @@ TEST(Crashbox, DumpDecodeRoundTrip) {
   }
   EXPECT_TRUE(saw_req);
 
-  // The interned phase names were mirrored and the ring carries the span.
+  // The registry's phase names were dumped and the ring carries the span.
   EXPECT_EQ(rep.phase_name(closed), "crashbox_test_span");
   bool saw_span = false;
-  for (const CrashRing& ring : rep.rings) {
+  for (const ThreadEvents& ring : rep.rings) {
     for (const FlightEvent& e : ring.events) {
       if (e.phase == closed) saw_span = true;
     }
@@ -184,10 +184,16 @@ TEST(Crashbox, DumpDecodeRoundTrip) {
   EXPECT_NE(summary.find("req 42"), std::string::npos);
   EXPECT_NE(summary.find("crashbox_test_counter"), std::string::npos);
   EXPECT_NE(summary.find(R"({"seq":9)"), std::string::npos);
+  EXPECT_NE(summary.find("open span: crashbox_test_open"), std::string::npos);
   std::ostringstream trace;
-  write_crash_trace(rep, trace);
+  FlightRecorder::write_chrome_trace(
+      trace, rep.rings, [&rep](PhaseId id) { return rep.phase_name(id); }, true);
   EXPECT_NE(trace.str().find("traceEvents"), std::string::npos);
   EXPECT_NE(trace.str().find("crashbox_test_span"), std::string::npos);
+  // The span still open at the dump shows as a thread-scoped instant.
+  const std::string open_instant =
+      R"x({"name": "crashbox_test_open (open at crash)", "ph": "i", "s": "t")x";
+  EXPECT_NE(trace.str().find(open_instant), std::string::npos) << trace.str();
 
   Crashbox::request_end(slot);
   Tracer::reset();
@@ -210,7 +216,8 @@ TEST(Postmortem, NonCrashFileThrows) {
 
 // An End whose Begin was overwritten by ring wrap is counted (not silently
 // dropped): cap-4 ring sees B1 b2 e2 b3 e3 E1; the window keeps the last
-// four events [e2 b3 e3 E1], in which e2 and E1 open at depth 0.
+// four events [e2 b3 e3 E1], in which e2 and E1 open at depth 0.  The live
+// snapshot and the crash decoder must agree on all of it.
 TEST(FlightRecorderWrap, SnapshotCountsUnmatchedEnds) {
   Tracer::reset();
   Tracer::enable();
@@ -229,6 +236,28 @@ TEST(FlightRecorderWrap, SnapshotCountsUnmatchedEnds) {
   ASSERT_EQ(te.events.size(), 4u);
   EXPECT_EQ(te.unmatched_ends, 2u);
   EXPECT_EQ(te.dropped, 4u);  // 2 wrap-lost + 2 unmatched ends
+
+  // The crash decoder reads the same ring the same way: dump it, decode it,
+  // and expect the snapshot event for event, with the same accounting.
+  const std::string dir = make_crash_dir("wrap");
+  ASSERT_TRUE(Crashbox::install(dir.c_str()));
+  ASSERT_TRUE(Crashbox::dump(0, "wrap-test"));
+  const CrashReport rep = read_crash_report(Crashbox::report_path());
+  ASSERT_EQ(rep.rings.size(), 1u);
+  const ThreadEvents& dec = rep.rings[0];
+  EXPECT_EQ(dec.tid, te.tid);
+  EXPECT_EQ(dec.events, te.events);
+  EXPECT_EQ(dec.torn, 0u);
+  EXPECT_EQ(dec.unmatched_ends, 2u);
+  EXPECT_EQ(dec.dropped, 4u);
+
+  // No span is open, so the crash trace is the live trace, byte for byte.
+  std::ostringstream live, crash;
+  FlightRecorder::write_chrome_trace(live);
+  FlightRecorder::write_chrome_trace(
+      crash, rep.rings, [&rep](PhaseId id) { return rep.phase_name(id); }, true);
+  EXPECT_EQ(crash.str(), live.str());
+
   FlightRecorder::disable();
   Tracer::disable();
   Tracer::reset();

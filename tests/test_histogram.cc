@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/metrics.h"
@@ -163,6 +165,19 @@ TEST_F(MetricsTest, InterningIsIdempotentAndResetPreservesIds) {
   const auto* h = find_hist(hists, "metrics_test_intern");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 1u);
+
+  // Every kind's slot holds 47 characters; a longer name is refused.
+  const std::string n47 = "metrics_test_47" + std::string(32, 'y');
+  const std::string n48 = n47 + "y";
+  ASSERT_EQ(n47.size(), 47u);
+  EXPECT_STREQ(interned_name(NameKind::kHistogram, Metrics::histogram(n47)), n47.c_str());
+  EXPECT_STREQ(interned_name(NameKind::kCounter, Metrics::counter(n47)), n47.c_str());
+  EXPECT_STREQ(interned_name(NameKind::kGauge, Metrics::gauge(n47)), n47.c_str());
+  EXPECT_STREQ(interned_name(NameKind::kPhase, Tracer::phase(n47)), n47.c_str());
+  EXPECT_THROW(Metrics::histogram(n48), std::length_error);
+  EXPECT_THROW(Metrics::counter(n48), std::length_error);
+  EXPECT_THROW(Metrics::gauge(n48), std::length_error);
+  EXPECT_THROW(Tracer::phase(n48), std::length_error);
 }
 
 TEST_F(MetricsTest, TraceSpansFeedThePhaseLatencyHistogram) {

@@ -79,9 +79,9 @@ TEST(Prof, ArmIsIdempotent) {
 }
 
 // Status and data must agree whatever the kernel allowed: either the PMU
-// opened ("ok", snapshot may carry counts) or it did not ("unavailable:
-// ...", snapshot stays empty).  This is the contract check_prof.py gates
-// on in CI, in both directions.
+// opened ("ok", the phases' records carry counts) or it did not
+// ("unavailable: ...", no phase carries a PMU span).  This is the contract
+// check_prof.py gates on in CI, in both directions.
 TEST(Prof, PmuStatusMatchesData) {
   Tracer::reset();
   Tracer::enable();
@@ -94,15 +94,18 @@ TEST(Prof, PmuStatusMatchesData) {
   }
   Prof::disarm();
   const std::string status = Prof::pmu_status();
-  const std::vector<PhasePmu> snap = Prof::pmu_snapshot();
+  const std::vector<PhaseStats> snap = Tracer::snapshot();
   if (Prof::pmu_available()) {
     EXPECT_EQ(status, "ok");
     bool counted = false;
-    for (const PhasePmu& p : snap) counted = counted || p.c.cycles > 0;
+    for (const PhaseStats& p : snap) counted = counted || p.pmu.cycles > 0;
     EXPECT_TRUE(counted) << "PMU ok but no phase accumulated cycles";
   } else {
     EXPECT_TRUE(status.rfind("unavailable", 0) == 0) << status;
-    for (const PhasePmu& p : snap) EXPECT_EQ(p.c.cycles, 0u);
+    for (const PhaseStats& p : snap) {
+      EXPECT_EQ(p.pmu_spans, 0u);
+      EXPECT_EQ(p.pmu.cycles, 0u);
+    }
   }
   Tracer::disable();
   Tracer::reset();

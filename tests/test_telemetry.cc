@@ -208,13 +208,18 @@ TEST(Telemetry, TickJsonIsDeterministicAndParses) {
   EXPECT_EQ(gauges->find("service_queue_depth")->as_number(), 3.0);
 }
 
+// The capture returns every section in name order whatever the interning
+// order (util/metrics.h), and the tick keeps that order.
 TEST(Telemetry, TickJsonSectionsSortedByName) {
-  TelemetrySnapshot snap = fixed_snapshot(1);
-  snap.counters.push_back({"aaa_first", 1});  // interned last, sorts first
+  Metrics::add(Metrics::counter("test_tick_zzz_interned_first"));
+  Metrics::add(Metrics::counter("test_tick_aaa_interned_last"));
+  Metrics::gauge_set(Metrics::gauge("test_tick_zzz_gauge"), 1);
+  Metrics::gauge_set(Metrics::gauge("test_tick_aaa_gauge"), 1);
+  const TelemetrySnapshot snap = util::telemetry_capture(1);
   const TelemetryDerived d = util::telemetry_derive(snap, snap, TelemetryOptions{});
   const std::string line = util::telemetry_tick_json(0, snap, d, 0.0, 0.0);
-  EXPECT_LT(line.find("aaa_first"), line.find("service_cache_hits"));
-  EXPECT_LT(line.find("service_cache_hits"), line.find("service_completed"));
+  EXPECT_LT(line.find("test_tick_aaa_interned_last"), line.find("test_tick_zzz_interned_first"));
+  EXPECT_LT(line.find("test_tick_aaa_gauge"), line.find("test_tick_zzz_gauge"));
 }
 
 TEST(Telemetry, PrometheusExpositionWellFormed) {

@@ -1,15 +1,26 @@
 // Tests for the structured tracer (util/trace.h) and the JSON perf-report
-// writer (util/report.h): phase interning, disabled-tracer no-ops, nested
-// (inclusive) span accounting, exact multi-thread accumulation, per-step
-// diagnostics, JSON round-tripping and the report schema.
+// writer (util/report.h): phase interning, the name registry under
+// concurrent interning, disabled-tracer no-ops, nested (inclusive) span
+// accounting, exact multi-thread accumulation, per-step diagnostics, JSON
+// round-tripping and the report schema.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include "util/crashbox.h"
 #include "util/flops.h"
+#include "util/metrics.h"
+#include "util/postmortem.h"
 #include "util/report.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -54,6 +65,112 @@ TEST_F(TraceTest, PhaseInterningIsIdempotent) {
   EXPECT_NE(a, c);
   EXPECT_GE(a, 0);
   EXPECT_LT(a, Tracer::kMaxPhases);
+
+  // Every kind's slot holds 47 characters; a longer name is refused.
+  const std::string n47 = "trace_test_47" + std::string(34, 'x');
+  const std::string n48 = n47 + "x";
+  ASSERT_EQ(n47.size(), 47u);
+  const PhaseId id47 = Tracer::phase(n47);
+  EXPECT_EQ(Tracer::phase_names()[static_cast<std::size_t>(id47)], n47);
+  EXPECT_GE(Metrics::histogram(n47), 0);
+  EXPECT_GE(Metrics::counter(n47), 0);
+  EXPECT_GE(Metrics::gauge(n47), 0);
+  EXPECT_THROW(Tracer::phase(n48), std::length_error);
+  EXPECT_THROW(Metrics::histogram(n48), std::length_error);
+  EXPECT_THROW(Metrics::counter(n48), std::length_error);
+  EXPECT_THROW(Metrics::gauge(n48), std::length_error);
+}
+
+// Writers intern distinct names of all four kinds while a reader snapshots
+// and resolves ids and a crash dump is taken mid-run: every id must name
+// its own, untorn string, in the live registry and in the decoded dump.
+TEST(NameRegistry, ConcurrentInterningResolvesUntornNames) {
+  constexpr int kWriters = 4;
+  constexpr int kPerKind = 6;
+  constexpr NameKind kKinds[] = {NameKind::kPhase, NameKind::kHistogram, NameKind::kCounter,
+                                 NameKind::kGauge};
+  // Full-width names: a torn read shows as a wrong length or a stranger.
+  auto name_of = [](int kind, int writer, int i) {
+    std::string n = "reg_" + std::to_string(kind) + "_" + std::to_string(writer) + "_" +
+                    std::to_string(i) + "_";
+    return n + std::string(kMaxNameLen - n.size(), static_cast<char>('a' + i));
+  };
+  std::set<std::string> ours;
+  for (int k = 0; k < 4; ++k) {
+    for (int w = 0; w < kWriters; ++w) {
+      for (int i = 0; i < kPerKind; ++i) ours.insert(name_of(k, w, i));
+    }
+  }
+  int before[4];
+  for (int k = 0; k < 4; ++k) before[k] = interned_count(kKinds[k]);
+
+  ::mkdir("trace_test_registry", 0777);
+  ASSERT_TRUE(Crashbox::install("trace_test_registry"));
+  const std::string report = Crashbox::report_path();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      (void)Tracer::snapshot();
+      (void)Metrics::snapshot();
+      (void)Metrics::counters_snapshot();
+      (void)Metrics::gauges_snapshot();
+      (void)Tracer::phase_names();
+      for (int k = 0; k < 4; ++k) {
+        const int n = interned_count(kKinds[k]);
+        for (int id = before[k]; id < n; ++id) {
+          const char* name = interned_name(kKinds[k], id);
+          if (name == nullptr || !ours.contains(name)) bad.fetch_add(1);
+        }
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  std::vector<std::vector<int>> ids(kWriters, std::vector<int>(4 * kPerKind, -1));
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kPerKind; ++i) {
+        ids[w][4 * i + 0] = Tracer::phase(name_of(0, w, i));
+        ids[w][4 * i + 1] = Metrics::histogram(name_of(1, w, i));
+        ids[w][4 * i + 2] = Metrics::counter(name_of(2, w, i));
+        ids[w][4 * i + 3] = Metrics::gauge(name_of(3, w, i));
+        if (w == 0 && i == kPerKind / 2) {
+          EXPECT_TRUE(Crashbox::dump(0, "registry-test"));
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad.load(), 0);
+
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kPerKind; ++i) {
+      for (int k = 0; k < 4; ++k) {
+        const int id = ids[w][4 * i + k];
+        ASSERT_GE(id, 0);
+        EXPECT_STREQ(interned_name(kKinds[k], id), name_of(k, w, i).c_str());
+        EXPECT_EQ(intern_name(kKinds[k], name_of(k, w, i)), id);  // idempotent
+      }
+    }
+  }
+
+  // The mid-run dump lists a prefix of each table, every id with its name.
+  const CrashReport rep = read_crash_report(report);
+  for (const auto& [id, name] : rep.phase_names) {
+    EXPECT_STREQ(interned_name(NameKind::kPhase, id), name.c_str()) << id;
+  }
+  for (std::size_t id = 0; id < rep.counters.size(); ++id) {
+    EXPECT_STREQ(interned_name(NameKind::kCounter, static_cast<int>(id)),
+                 rep.counters[id].first.c_str());
+  }
+  for (std::size_t id = 0; id < rep.gauges.size(); ++id) {
+    EXPECT_STREQ(interned_name(NameKind::kGauge, static_cast<int>(id)),
+                 rep.gauges[id].first.c_str());
+  }
+  EXPECT_GE(rep.phase_names.size(), static_cast<std::size_t>(before[0]));
 }
 
 TEST_F(TraceTest, DisabledTracerRecordsNothing) {
@@ -77,7 +194,8 @@ TEST_F(TraceTest, SpanChargesFlopsBytesAndWallTime) {
     FlopCounter::charge(1000);
     ByteCounter::charge(8000);
   }
-  const PhaseStats* p = find_phase(Tracer::snapshot(), "trace_test_basic");
+  const std::vector<PhaseStats> phases = Tracer::snapshot();
+  const PhaseStats* p = find_phase(phases, "trace_test_basic");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->calls, 1u);
   EXPECT_EQ(p->flops, 1000u);
@@ -130,11 +248,20 @@ TEST_F(TraceTest, MultiThreadAccumulationIsExact) {
     FlopCounter::charge(7);
     ByteCounter::charge(11);
   });
-  const PhaseStats* p = find_phase(Tracer::snapshot(), "trace_test_mt");
+  const std::vector<PhaseStats> phases = Tracer::snapshot();
+  const PhaseStats* p = find_phase(phases, "trace_test_mt");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->calls, kIters);
   EXPECT_EQ(p->flops, 7u * kIters);
   EXPECT_EQ(p->bytes, 11u * kIters);
+  // calls and seconds are the phase's latency histogram, read back exactly.
+  const std::vector<HistogramStats> hists = Metrics::snapshot();
+  const auto h = std::find_if(hists.begin(), hists.end(), [](const HistogramStats& x) {
+    return x.name == "trace_test_mt_ns";
+  });
+  ASSERT_NE(h, hists.end());
+  EXPECT_EQ(p->calls, h->count);
+  EXPECT_EQ(p->seconds, static_cast<double>(h->sum) * 1e-9);
 }
 
 TEST_F(TraceTest, WorkerStatsCountChunks) {

@@ -1,21 +1,23 @@
 // bst_postmortem: decode a crashbox report (util/crashbox.h) into
 // human-readable form, optionally exporting the final flight-recorder rings
-// as a chrome-trace/Perfetto JSON document.
+// as a chrome-trace/Perfetto JSON document (the live recorder's exporter,
+// fed the decoded rings and the report's own phase table).
 //
 //   bst_postmortem <report.bstcrash>                 # print the summary
 //   bst_postmortem <report> --trace=out.json         # + Perfetto trace
 //   bst_postmortem <report> --assert-req=<id>        # CI: victim present?
 //
 // Exit codes: 0 decoded (and, with --assert-req, the request was found in
-// the active-request table); 1 unreadable/malformed report; 2 usage;
+// the active-request table); 1 unreadable/malformed report; 2 usage (a
+// malformed --assert-req id included, checked before the report is read);
 // 3 --assert-req id not in the report.
-#include <cstdio>
-#include <cstring>
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "util/cli.h"
 #include "util/postmortem.h"
 
 namespace {
@@ -59,6 +61,22 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
+  // A malformed id must not read as "not found" (3) or, worse, as a
+  // truncated id that happens to be found (0).
+  long want = 0;
+  if (!assert_req.empty()) {
+    try {
+      want = bst::util::parse_number<long>("--assert-req", assert_req);
+    } catch (const std::exception& e) {
+      std::cerr << "bst_postmortem: " << e.what() << "\n";
+      return 2;
+    }
+    if (want < 1) {
+      std::cerr << "bst_postmortem: --assert-req: request ids start at 1, got '" << assert_req
+                << "'\n";
+      return 2;
+    }
+  }
 
   bst::util::CrashReport rep;
   try {
@@ -76,14 +94,15 @@ int main(int argc, char** argv) {
       std::cerr << "bst_postmortem: cannot open '" << trace_out << "' for writing\n";
       return 1;
     }
-    bst::util::write_crash_trace(rep, f);
+    bst::util::FlightRecorder::write_chrome_trace(
+        f, rep.rings, [&rep](bst::util::PhaseId id) { return rep.phase_name(id); },
+        /*open_at_crash=*/true);
     std::cout << "trace written: " << trace_out << "\n";
   }
 
   if (!assert_req.empty()) {
-    const std::uint64_t want = std::strtoull(assert_req.c_str(), nullptr, 10);
     for (const bst::util::CrashRequest& r : rep.requests) {
-      if (r.id == want) {
+      if (r.id == static_cast<std::uint64_t>(want)) {
         std::cout << "assert-req: req " << want << " found, phase=" << r.phase << "\n";
         return 0;
       }

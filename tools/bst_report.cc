@@ -602,13 +602,15 @@ int trend_report(const std::string& ledger_path, double max_regress, double min_
 // Diffing
 // ---------------------------------------------------------------------------
 
-// Parses "50%" as 0.5 and "0.5" as 0.5; negative means "no gate".
-double parse_regress(const std::string& s) {
+// Parses the whole value of gate flag `flag`: "50%" as 0.5 and "0.5" as 0.5
+// (one trailing '%' at most; anything else throws naming the flag).  Empty
+// or negative means "no gate".
+double parse_regress(const std::string& flag, const std::string& s) {
   if (s.empty()) return -1.0;
-  std::size_t pos = 0;
-  double v = std::stod(s, &pos);
-  if (pos < s.size() && s[pos] == '%') v /= 100.0;
-  return v;
+  const bool percent = s.back() == '%';
+  const double v =
+      bst::util::parse_number<double>(flag, percent ? s.substr(0, s.size() - 1) : s);
+  return percent ? v / 100.0 : v;
 }
 
 struct DiffStats {
@@ -805,7 +807,10 @@ int main(int argc, char** argv) {
   const std::string candidate = cli.get("candidate", "");
   const std::string trend = cli.get("trend", "");
   try {
-    const double max_regress = parse_regress(cli.get("max-regress", "50%"));
+    // Every gate flag is checked before any file is read.
+    const double max_regress = parse_regress("--max-regress", cli.get("max-regress", "50%"));
+    const double max_attain_drop =
+        parse_regress("--max-attain-drop", cli.get("max-attain-drop", "10%"));
     const double min_seconds = cli.get_double("min-seconds", 1e-3);
     if (!trend.empty()) {
       return trend_report(trend, max_regress, min_seconds);
@@ -816,8 +821,7 @@ int main(int argc, char** argv) {
                      "bst_report: --attain needs --baseline=a.json --candidate=b.json\n");
         return 2;
       }
-      return diff_attainment(baseline, candidate,
-                             parse_regress(cli.get("max-attain-drop", "10%")));
+      return diff_attainment(baseline, candidate, max_attain_drop);
     }
     if (!baseline.empty() && !candidate.empty()) {
       return diff_reports(baseline, candidate, max_regress, min_seconds);
