@@ -1,6 +1,6 @@
 // SLO benchmark for the batched solver service (docs/SERVICE.md).
 //
-// Three phases on one repeated-key workload (same matrix, distinct RHS):
+// Four phases on one repeated-key workload (same matrix, distinct RHS):
 //
 //   1. no-cache baseline: synchronous solve() on a cache-disabled service,
 //      i.e. every request pays a full factorization -- what a caller
@@ -13,15 +13,24 @@
 //      arrival (not submit), so queue buildup is charged to the requests
 //      that suffered it -- no coordinated omission.  p50/p99/p999 come
 //      from the log-bucketed histogram machinery (util/metrics.h, <= 25%
-//      relative bucket error).
+//      relative bucket error);
+//   4. solve cost by width, on a second warm service: the median of 200
+//      synchronous one-column solve() calls (lone_solve_us) against the
+//      median 32-column solve_many (batch32_solve_us).  A batch is solved
+//      as exactly its columns, so a lone request costs a fraction of a
+//      32-column one; a service that pads batches to whole panels would
+//      bring the ratio back to about 1.
 //
 // Output: BENCH_service.json with qps_cached / qps_nocache /
-// cache_speedup / hit_rate / p50_us / p99_us / p999_us metrics and the
-// service's own stats under the "service" section.  CI gates on
-// cache_speedup and on the percentile keys being present (.github/
-// workflows/ci.yml, perf-smoke job).
+// cache_speedup / hit_rate / p50_us / p99_us / p999_us / lone_solve_us /
+// batch32_solve_us metrics and the phase-2/3 service's own stats under the
+// "service" section.  CI gates on cache_speedup, on the percentile keys
+// being present and on lone_solve_us <= 0.5 x batch32_solve_us
+// (.github/workflows/ci.yml, observability-smoke job).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <iostream>
 #include <thread>
@@ -46,6 +55,18 @@ void wait_until_ns(std::uint64_t sched_ns) {
       std::this_thread::yield();
     }
   }
+}
+
+// Median wall time in microseconds of `reps` calls of `fn`.
+double median_us(int reps, const std::function<void()>& fn) {
+  std::vector<double> us(static_cast<std::size_t>(reps));
+  for (double& v : us) {
+    const double t0 = util::wall_seconds();
+    fn();
+    v = (util::wall_seconds() - t0) * 1e6;
+  }
+  std::nth_element(us.begin(), us.begin() + reps / 2, us.end());
+  return us[static_cast<std::size_t>(reps / 2)];
 }
 
 std::vector<double> rhs_for(la::index_t n, int r) {
@@ -146,6 +167,23 @@ int main(int argc, char** argv) {
   }
   const service::ServiceStats stats = svc.stats();
 
+  // Phase 4: solve cost by width.  Its own service keeps the phase-2/3
+  // stats (and the cache fill the fault-injection jobs count on) as they
+  // were.
+  double lone_us = 0.0, batch32_us = 0.0;
+  {
+    service::Service probe(opt);
+    const std::vector<double> b1 = rhs_for(n, 1);
+    probe.solve(t, b1);  // warm: the probe's only miss
+    lone_us = median_us(200, [&] { probe.solve(t, b1); });
+    la::Mat b32(n, 32);
+    for (int r = 0; r < 32; ++r) {
+      const std::vector<double> br = rhs_for(n, r);
+      std::copy(br.begin(), br.end(), b32.view().col(r));
+    }
+    batch32_us = median_us(50, [&] { probe.solve_many(t, b32.view()); });
+  }
+
   util::Table table("Service SLO summary");
   table.header({"qps_cached", "qps_nocache", "speedup", "hit_rate", "p50_us", "p99_us",
                 "p999_us", "mean_batch"});
@@ -170,6 +208,8 @@ int main(int argc, char** argv) {
   report.metric("p50_us", p50_us);
   report.metric("p99_us", p99_us);
   report.metric("p999_us", p999_us);
+  report.metric("lone_solve_us", lone_us);
+  report.metric("batch32_solve_us", batch32_us);
   exporter.stop();  // final tick lands before the report reads its stats
   if (tel.active()) {
     report.metric("telemetry_ticks", static_cast<double>(exporter.ticks()));

@@ -40,7 +40,9 @@ void ger(double alpha, const double* x, const double* y, View a);
 
 enum class Op : std::uint8_t { None, Trans };
 
-/// C := alpha * op(A) op(B) + beta * C.
+/// C := alpha * op(A) op(B) + beta * C.  A column of C is computed the
+/// same way at every width of op(B): the packed/direct crossover reads
+/// op(A)'s shape alone.
 void gemm(Op ta, Op tb, double alpha, CView a, CView b, double beta, View c);
 
 /// C := alpha * A A^T + beta * C, only the lower triangle of C referenced.
@@ -51,7 +53,8 @@ enum class Uplo : std::uint8_t { Lower, Upper };
 enum class Diag : std::uint8_t { NonUnit, Unit };
 
 /// Solves op(T) X = alpha B (Left) or X op(T) = alpha B (Right) in place,
-/// where T is triangular; B is overwritten with X.
+/// where T is triangular; B is overwritten with X.  Left side: each column
+/// of X is bitwise the same whether it is solved alone or among others.
 void trsm(Side side, Uplo uplo, Op op, Diag diag, double alpha, CView t, View b);
 
 /// Triangular matrix-vector solve: op(T) x = b in place (x := solution).

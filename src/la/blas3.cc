@@ -406,15 +406,19 @@ void gemm_accum(Op ta, Op tb, double alpha, CView a, CView b, View c) {
   const index_t k = (ta == Op::None) ? a.cols() : a.rows();
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
   const KernelConfig& cfg = KernelConfig::active();
-  const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                       static_cast<double>(k);
-  // Crossover: the Schur hot shapes (generator panels with only a few rows)
-  // keep the direct loops, where packing traffic and zero-padded SIMD lanes
-  // would dominate.
-  if (m < cfg.pack_min_m || flops < static_cast<double>(cfg.pack_min_flops)) {
+  // Crossover, from m and k only: the flops of one NR-wide micro-panel.
+  // Both paths round a column of C the same way at any width, so a column's
+  // bits never depend on how many columns share the call.  The Schur hot
+  // shapes (generator panels with only a few rows) keep the direct loops,
+  // where packing traffic and zero-padded SIMD lanes would dominate.
+  const double panel_flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
+                             static_cast<double>(NR);
+  if (m < cfg.pack_min_m || panel_flops < static_cast<double>(cfg.pack_min_flops)) {
     accum_direct(ta, tb, alpha, a, b, c);
     return;
   }
+  const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+                       static_cast<double>(k);
   util::ThreadPool& pool = util::ThreadPool::global();
   if (!want_parallel(flops)) {
     gemm_packed(ta, tb, alpha, a, b, c);

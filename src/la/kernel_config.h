@@ -35,15 +35,16 @@ struct KernelConfig {
   index_t kc = 256;
   index_t nc = 2048;
 
-  // Size-based crossover: gemm calls with fewer than pack_min_flops total
-  // flops (2mnk) or fewer than pack_min_m rows of op(A) use the direct
+  // Size-based crossover: gemm calls whose one NR-wide micro-panel costs
+  // fewer than pack_min_flops flops (2 m k nr; the width n does not count)
+  // or with fewer than pack_min_m rows of op(A) use the direct
   // register-blocked loops instead of packing.  The block reflector apply
-  // decides from pack_min_m alone (the factor's order), so a column's
-  // result never depends on how many columns share the call.  The Schur
-  // hot shapes -- 2m-row generator panels with m in {1..8} -- produce C
-  // tiles narrower than the micro-kernel's mr rows, where zero-padded
-  // micro-tiles would waste a large fraction of the SIMD lanes and the
-  // packing traffic is pure overhead.
+  // decides from pack_min_m alone (the factor's order).  Either way a
+  // column's result never depends on how many columns share the call.
+  // The Schur hot shapes -- 2m-row generator panels with m in {1..8} --
+  // produce C tiles narrower than the micro-kernel's mr rows, where
+  // zero-padded micro-tiles would waste a large fraction of the SIMD lanes
+  // and the packing traffic is pure overhead.
   index_t pack_min_flops = 1 << 15;
   index_t pack_min_m = 5;
 

@@ -96,13 +96,19 @@ struct CrashboxReq {
   ~CrashboxReq() { util::Crashbox::request_end(slot); }
 };
 
-// The dispatcher thread reads opt_ from construction on, so every clamp
-// must happen before it starts (dispatcher_ is the last member).
-ServiceOptions sanitize(ServiceOptions o) {
-  o.max_batch = std::max<index_t>(1, o.max_batch);
-  o.rhs_panel = std::max<index_t>(1, o.rhs_panel);
-  o.queue_capacity = std::max<std::size_t>(1, o.queue_capacity);
-  o.refine_steps = std::max(0, o.refine_steps);
+// The same ranges ServiceOptions::from_env enforces on the variables.  The
+// dispatcher thread reads opt_ from construction on, so this throws before
+// it starts (dispatcher_ is the last member).
+ServiceOptions validated(ServiceOptions o) {
+  const auto check = [](bool ok, const char* field, const char* range) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("ServiceOptions::") + field + " must be " + range);
+    }
+  };
+  check(o.rhs_panel >= 1, "rhs_panel", ">= 1");
+  check(o.max_batch >= 1, "max_batch", ">= 1");
+  check(o.queue_capacity >= 1, "queue_capacity", ">= 1");
+  check(o.refine_steps >= 0, "refine_steps", ">= 0");
   return o;
 }
 
@@ -122,7 +128,7 @@ ServiceOptions ServiceOptions::from_env(ServiceOptions base) {
   return base;
 }
 
-Service::Service(ServiceOptions opt) : opt_(sanitize(opt)), cache_(opt_.cache_bytes) {
+Service::Service(ServiceOptions opt) : opt_(validated(opt)), cache_(opt_.cache_bytes) {
   // Env-gated no-ops unless BST_CRASH_DIR / BST_STALL_MS are set: a live
   // service is exactly the process whose last moments are worth keeping.
   // Both read the environment and throw on a bad setting, so they run
@@ -151,9 +157,9 @@ FactorPtr Service::factor_for(const toeplitz::BlockToeplitz& t, const std::strin
   return std::make_shared<const core::SchurFactor>(factory());
 }
 
-void Service::solve_batch(const core::SchurFactor& f, la::View b_padded) {
+void Service::solve_batch(const core::SchurFactor& f, la::View b) {
   util::TraceSpan span(kSolvePhase);
-  core::solve_rtdr_panels(f.r.view(), nullptr, b_padded, opt_.rhs_panel, opt_.parallel_panels);
+  core::solve_rtdr_panels(f.r.view(), nullptr, b, opt_.rhs_panel, /*parallel=*/true);
 }
 
 std::shared_ptr<const toeplitz::BlockCirculantMultiplier> Service::multiplier_for(
@@ -178,8 +184,7 @@ void Service::solve_batch_refined(const toeplitz::BlockToeplitz& t, const std::s
   const index_t n = b_inout.rows(), cols = b_inout.cols();
   const auto mul = multiplier_for(t, key);
   // Keep B: after the in-place solve b_inout holds X, and each sweep needs
-  // the original right-hand sides for R = B - T X.  Zero-padded columns
-  // have zero residuals, so refining the full padded width is exact.
+  // the original right-hand sides for R = B - T X.
   la::Mat b0(n, cols);
   la::copy(b_inout, b0.view());
   solve_batch(f, b_inout);
@@ -214,17 +219,16 @@ SolveResult Service::solve(const toeplitz::BlockToeplitz& t, const std::vector<d
   const std::uint64_t t_submit = util::TraceClock::now_ns();
   const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
   const CrashboxReq cb(id, util::ReqPhase::kFactor);
+  const std::string key = problem_key(t, opt_.schur);
   bool hit = false;
-  const FactorPtr f = factor_for(t, problem_key(t, opt_.schur), &hit);
+  const FactorPtr f = factor_for(t, key, &hit);
   const std::uint64_t t_factor = util::TraceClock::now_ns();
   cb.phase(util::ReqPhase::kSolve);
-  // One fixed-width panel, zero-padded: the same trsm shape every request
-  // sees, so the answer bits match the batched path exactly.
-  la::Mat pad(n, opt_.rhs_panel);
-  std::copy(b.begin(), b.end(), pad.data());
-  solve_batch_refined(t, problem_key(t, opt_.schur), *f, pad.view());
+  // Exactly one column: the kernels round it as they would inside any
+  // batch, so the answer bits match the batched paths.
   SolveResult res;
-  res.x.assign(pad.data(), pad.data() + n);
+  res.x = b;
+  solve_batch_refined(t, key, *f, la::View(res.x.data(), n, 1, n));
   res.cache_hit = hit;
   res.factor_flops = f->flops;
   res.batch_cols = 1;
@@ -271,17 +275,14 @@ la::Mat Service::solve_many(const toeplitz::BlockToeplitz& t, la::CView b) {
   const std::uint64_t t_submit = util::TraceClock::now_ns();
   const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
   const CrashboxReq cb(id, util::ReqPhase::kFactor);
+  const std::string key = problem_key(t, opt_.schur);
   bool hit = false;
-  const FactorPtr f = factor_for(t, problem_key(t, opt_.schur), &hit);
+  const FactorPtr f = factor_for(t, key, &hit);
   const std::uint64_t t_factor = util::TraceClock::now_ns();
   cb.phase(util::ReqPhase::kSolve);
-  const index_t panel = opt_.rhs_panel;
-  const index_t padded = ((k + panel - 1) / panel) * panel;
-  la::Mat pad(n, padded);
-  la::copy(b, pad.block(0, 0, n, k));
-  solve_batch_refined(t, problem_key(t, opt_.schur), *f, pad.view());
   la::Mat x(n, k);
-  la::copy(pad.block(0, 0, n, k), x.view());
+  la::copy(b, x.view());
+  solve_batch_refined(t, key, *f, x.view());
   const std::uint64_t done_ns = util::TraceClock::now_ns();
   util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
   util::Metrics::record(kLatencyHist, done_ns - t_submit);
@@ -320,7 +321,6 @@ std::future<SolveResult> Service::submit(const toeplitz::BlockToeplitz& t,
   util::Fault::fire("admission");
   Request req;
   req.key = problem_key(t, opt_.schur);
-  req.t = t;
   req.b = std::move(b);
   req.submit_ns = util::TraceClock::now_ns();
   req.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
@@ -329,6 +329,7 @@ std::future<SolveResult> Service::submit(const toeplitz::BlockToeplitz& t,
     std::unique_lock lock(mu_);
     cv_notfull_.wait(lock, [&] { return stop_ || queue_.size() < opt_.queue_capacity; });
     if (stop_) throw std::runtime_error("Service::submit: service is shutting down");
+    req.t = hold_matrix(req.key, t);
     // Registered only once admission is certain; the dispatcher owns the
     // slot from here (phase transitions + release).
     req.cb_slot = util::Crashbox::request_begin(req.id, util::ReqPhase::kQueued);
@@ -350,7 +351,6 @@ bool Service::try_submit(const toeplitz::BlockToeplitz& t, std::vector<double> b
   util::Fault::fire("admission");
   Request req;
   req.key = problem_key(t, opt_.schur);
-  req.t = t;
   req.b = std::move(b);
   req.submit_ns = util::TraceClock::now_ns();
   req.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
@@ -362,6 +362,7 @@ bool Service::try_submit(const toeplitz::BlockToeplitz& t, std::vector<double> b
       util::Metrics::add(kRejected);
       return false;
     }
+    req.t = hold_matrix(req.key, t);
     req.cb_slot = util::Crashbox::request_begin(req.id, util::ReqPhase::kQueued);
     queue_.push_back(std::move(req));
     ++submitted_;
@@ -372,6 +373,20 @@ bool Service::try_submit(const toeplitz::BlockToeplitz& t, std::vector<double> b
   cv_nonempty_.notify_one();
   out = std::move(fut);
   return true;
+}
+
+std::shared_ptr<const toeplitz::BlockToeplitz> Service::hold_matrix(
+    const std::string& key, const toeplitz::BlockToeplitz& t) {
+  SharedMatrix& e = matrices_[key];
+  if (e.t == nullptr) e.t = std::make_shared<const toeplitz::BlockToeplitz>(t);
+  ++e.holders;
+  return e.t;
+}
+
+void Service::release_matrix(const std::string& key, std::size_t holders) {
+  const auto it = matrices_.find(key);
+  it->second.holders -= holders;
+  if (it->second.holders == 0) matrices_.erase(it);
 }
 
 void Service::drain() {
@@ -431,28 +446,27 @@ void Service::dispatcher_loop() {
       for (const Request& req : batch) {
         util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kFactor);
       }
+      const toeplitz::BlockToeplitz& t = *batch.front().t;
       bool hit = false;
-      const FactorPtr f = factor_for(batch.front().t, batch.front().key, &hit);
+      const FactorPtr f = factor_for(t, batch.front().key, &hit);
       const std::uint64_t factor_done_ns = util::TraceClock::now_ns();
       for (const Request& req : batch) {
         util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kSolve);
       }
-      const index_t n = batch.front().t.order();
-      const index_t panel = opt_.rhs_panel;
-      const index_t padded = ((k + panel - 1) / panel) * panel;
-      la::Mat pad(n, padded);
+      const index_t n = t.order();
+      la::Mat x(n, k);
       for (index_t j = 0; j < k; ++j) {
         const std::vector<double>& b = batch[static_cast<std::size_t>(j)].b;
-        std::copy(b.begin(), b.end(), pad.data() + j * n);
+        std::copy(b.begin(), b.end(), x.data() + j * n);
       }
-      solve_batch_refined(batch.front().t, batch.front().key, *f, pad.view());
+      solve_batch_refined(t, batch.front().key, *f, x.view());
       const std::uint64_t done_ns = util::TraceClock::now_ns();
       const std::uint64_t warn_delta = util::Metrics::counter_value(kWarnings) - warn0;
       util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
       for (index_t j = 0; j < k; ++j) {
         Request& req = batch[static_cast<std::size_t>(j)];
         SolveResult res;
-        const double* xj = pad.data() + j * n;
+        const double* xj = x.data() + j * n;
         res.x.assign(xj, xj + n);
         res.cache_hit = hit;
         res.factor_flops = f->flops;
@@ -492,6 +506,7 @@ void Service::dispatcher_loop() {
 
     {
       std::lock_guard lock(mu_);
+      release_matrix(batch.front().key, batch.size());
       inflight_ -= batch.size();
       completed_ += batch.size();
       ++batches_;
@@ -516,6 +531,7 @@ ServiceStats Service::stats() const {
   s.max_batch = max_batch_;
   s.queue_peak = queue_peak_;
   s.slow = slow_;
+  s.queued_matrices = matrices_.size();
   s.refine_sweeps = refine_sweeps_.load(std::memory_order_relaxed);
   return s;
 }
@@ -539,6 +555,7 @@ util::Json Service::stats_json() const {
   queue.set("completed", util::Json::number(s.completed));
   queue.set("slow", util::Json::number(s.slow));
   queue.set("slow_ms", util::Json::number(opt_.slow_ms));
+  queue.set("queued_matrices", util::Json::number(static_cast<std::uint64_t>(s.queued_matrices)));
   util::Json batch = util::Json::object();
   batch.set("batches", util::Json::number(s.batches));
   batch.set("max_batch", util::Json::number(s.max_batch));

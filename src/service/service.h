@@ -9,22 +9,22 @@
 //
 //   * a FactorCache (service/cache.h): factors are cached by the ledger's
 //     params hash and reused across requests -- factor once, solve many;
-//   * blocked multi-RHS solves: batches of right-hand sides go through
-//     core::solve_rtdr_panels, which drives the packed la/blas3 trsm over
-//     fixed-width RHS panels (padded with zero columns to a whole panel,
-//     so every trsm sees the same shape and the answer bits do not depend
-//     on how requests happened to batch);
+//   * blocked multi-RHS solves: a batch of k right-hand sides is solved as
+//     exactly k columns through core::solve_rtdr_panels, which drives the
+//     packed la/blas3 trsm; a lone request pays for one column;
 //   * an async submission path: submit() enqueues onto a bounded admission
 //     queue (blocking when full -- backpressure; try_submit() rejects
 //     instead) and a dispatcher thread coalesces same-key requests into
-//     one factor lookup + one blocked solve.  Panel solves fan out across
-//     util::ThreadPool.
+//     one factor lookup + one blocked solve.  Groups of rhs_panel columns
+//     fan out across util::ThreadPool.  Queued requests of one key share
+//     one copy of their matrix (ServiceStats::queued_matrices).
 //
-// Determinism: for a fixed ServiceOptions (in particular rhs_panel),
-// concurrent submit()s return solutions bitwise identical to the serial
-// solve() path at any thread count and any batching outcome -- each output
-// column depends only on its own input column, and the fixed panel shape
-// pins the kernels' shape crossover (tests/test_service.cc).
+// Determinism: concurrent submit()s return solutions bitwise identical to
+// the serial solve() path at any thread count and any batching outcome.
+// Each output column depends only on its own input column, and the trsm
+// and gemm kernels round a column the same way at every width (their
+// packed/direct crossover ignores the width), so this holds by
+// construction; rhs_panel changes no answer bit (tests/test_service.cc).
 //
 // Scope: the Service serves the SPD fast path.  A matrix that is not
 // positive definite fails the factorization; the error propagates through
@@ -52,7 +52,7 @@
 //   BST_SERVICE_CACHE_BYTES  factor-cache budget in bytes (>= 0)
 //   BST_SERVICE_QUEUE        admission queue capacity in requests (>= 1)
 //   BST_SERVICE_BATCH        max same-key requests coalesced per dispatch (>= 1)
-//   BST_SERVICE_PANEL        RHS panel width of the blocked solves (>= 1)
+//   BST_SERVICE_PANEL        columns per pool task of the blocked solves (>= 1)
 //   BST_SERVICE_NOCACHE      1 disables the factor cache (baseline mode), 0 keeps it
 //   BST_SERVICE_SLOW_MS      slow-request log threshold in ms (>= 0; 0 = off)
 //   BST_SERVICE_TRACE_REQS   max requests that get "req:<id>" trace tracks
@@ -96,9 +96,8 @@ struct ServiceOptions {
   std::size_t cache_bytes = 256ull << 20;  // factor-cache budget
   std::size_t queue_capacity = 4096;   // bounded admission queue
   index_t max_batch = 256;             // same-key requests per dispatch
-  index_t rhs_panel = 32;              // RHS panel width (fixed trsm shape)
+  index_t rhs_panel = 32;              // columns per pool task (no answer bit depends on it)
   bool cache_enabled = true;
-  bool parallel_panels = true;         // spread panels across the ThreadPool
   double slow_ms = 100.0;              // slow-request log threshold (0 = off)
   std::uint64_t trace_requests = 32;   // "req:<id>" tracks minted while tracing
   int refine_steps = 0;                // FFT-residual refinement sweeps (0 = off)
@@ -137,6 +136,7 @@ struct ServiceStats {
   std::uint64_t queue_peak = 0; // high-water mark of the admission queue
   std::uint64_t slow = 0;       // requests past the slow_ms threshold
   std::uint64_t refine_sweeps = 0;  // FFT-residual sweeps executed
+  std::size_t queued_matrices = 0;  // matrix copies held for queued/dispatching requests
 
   [[nodiscard]] double mean_batch() const {
     return batches == 0 ? 0.0 : static_cast<double>(completed) / static_cast<double>(batches);
@@ -145,6 +145,9 @@ struct ServiceStats {
 
 class Service {
  public:
+  /// Throws std::invalid_argument naming the field when rhs_panel,
+  /// max_batch or queue_capacity is below 1 or refine_steps below 0 (the
+  /// ranges from_env enforces on the variables).
   explicit Service(ServiceOptions opt = ServiceOptions::from_env());
   /// Drains the queue (outstanding futures complete), then joins.
   ~Service();
@@ -184,7 +187,7 @@ class Service {
  private:
   struct Request {
     std::string key;
-    toeplitz::BlockToeplitz t;
+    std::shared_ptr<const toeplitz::BlockToeplitz> t;  // shared per key (matrices_)
     std::vector<double> b;
     std::promise<SolveResult> done;
     std::uint64_t submit_ns = 0;
@@ -195,8 +198,8 @@ class Service {
   /// Factor via the cache (or directly when caching is off).
   FactorPtr factor_for(const toeplitz::BlockToeplitz& t, const std::string& key, bool* hit);
 
-  /// Solves the padded batch in place: fixed-width panels over the pool.
-  void solve_batch(const core::SchurFactor& f, la::View b_padded);
+  /// Solves the batch's columns in place, rhs_panel columns per pool task.
+  void solve_batch(const core::SchurFactor& f, la::View b);
 
   /// solve_batch plus opt_.refine_steps batched FFT-residual sweeps (the
   /// plain solve when refinement is off; needs `t`/`key` for the cached
@@ -208,6 +211,13 @@ class Service {
   /// the factor cache.
   std::shared_ptr<const toeplitz::BlockCirculantMultiplier> multiplier_for(
       const toeplitz::BlockToeplitz& t, const std::string& key);
+
+  /// Under mu_: the shared copy of `t` for a request of `key` being
+  /// admitted (made on the key's first queued request), and its release by
+  /// `holders` dispatched requests (the entry goes with the last one).
+  std::shared_ptr<const toeplitz::BlockToeplitz> hold_matrix(const std::string& key,
+                                                             const toeplitz::BlockToeplitz& t);
+  void release_matrix(const std::string& key, std::size_t holders);
 
   void dispatcher_loop();
 
@@ -223,6 +233,11 @@ class Service {
   bool stop_ = false;
   std::uint64_t submitted_ = 0, rejected_ = 0, completed_ = 0;
   std::uint64_t batches_ = 0, max_batch_ = 0, queue_peak_ = 0, slow_ = 0;
+  struct SharedMatrix {
+    std::shared_ptr<const toeplitz::BlockToeplitz> t;
+    std::size_t holders = 0;  // requests queued or being dispatched
+  };
+  std::unordered_map<std::string, SharedMatrix> matrices_;  // by key, under mu_
   std::atomic<std::uint64_t> next_req_id_{1};
   std::atomic<std::uint64_t> refine_sweeps_{0};
 

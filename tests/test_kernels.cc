@@ -336,6 +336,110 @@ TEST(KernelTrsm, AllCombosResidual) {
   }
 }
 
+// ----- width independence ---------------------------------------------------
+// A column of a Left trsm or of a gemm comes out bitwise the same whether it
+// is computed alone or among up to 63 others: the packed/direct crossover
+// reads op(A)'s shape only.  service::Service relies on it to solve exactly
+// the columns a batch holds.
+
+constexpr index_t kMaxWidth = 64;
+
+// Every column of `got` (a call over the first got.cols() columns) must be
+// bitwise the same column of `alone` (each column computed by itself).
+void expect_columns_alone(const Mat& got, const Mat& alone, const std::string& what) {
+  const auto bytes = static_cast<std::size_t>(got.rows()) * sizeof(double);
+  for (index_t j = 0; j < got.cols(); ++j) {
+    ASSERT_EQ(std::memcmp(got.view().col(j), alone.view().col(j), bytes), 0)
+        << what << " width=" << got.cols() << ": column " << j
+        << " differs from the same column computed alone";
+  }
+}
+
+class TrsmWidth : public ::testing::TestWithParam<index_t> {};
+
+TEST_P(TrsmWidth, ColumnBitsIndependentOfWidth) {
+  const index_t n = GetParam();
+  util::Rng rng(500 + static_cast<std::uint64_t>(n));
+  const Mat b = random_matrix(n, kMaxWidth, rng);
+  ConfigGuard guard;
+  for (const bool simd : {true, false}) {
+    KernelConfig cfg = guard.saved;
+    cfg.simd = simd;
+    KernelConfig::set_active(cfg);
+    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      for (const Op op : kOps)
+        for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          const Mat t = make_triangular(n, uplo, rng);
+          Mat alone = b;
+          for (index_t j = 0; j < kMaxWidth; ++j) {
+            trsm(Side::Left, uplo, op, diag, 1.0, t.view(), alone.block(0, j, n, 1));
+          }
+          const std::string what = "trsm n=" + std::to_string(n) +
+                                   " simd=" + std::to_string(simd) +
+                                   " uplo=" + std::to_string(static_cast<int>(uplo)) +
+                                   " op=" + std::to_string(static_cast<int>(op)) +
+                                   " diag=" + std::to_string(static_cast<int>(diag));
+          for (index_t w = 1; w <= kMaxWidth; ++w) {
+            Mat x(n, w);
+            copy(b.block(0, 0, n, w), x.view());
+            trsm(Side::Left, uplo, op, diag, 1.0, t.view(), x.view());
+            expect_columns_alone(x, alone, what);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, TrsmWidth,
+                         ::testing::Values(1, 5, 63, 64, 68, 100, 160, 500, 512));
+
+// op(A) shapes around the default crossover (2 m k nr = pack_min_flops at
+// m k ~ 2731): 45 x 60 runs direct and 46 x 60 packed, 4 x 300 is below
+// pack_min_m, and depths 300 and 400 pass kc = 256 on both paths.  At
+// 160 x 300 the wide calls also fan out to the pool's tile grid.
+TEST(KernelGemmWidth, ColumnBitsIndependentOfWidth) {
+  struct MK {
+    index_t m, k;
+  };
+  util::Rng rng(64);
+  ConfigGuard guard;
+  for (const bool simd : {true, false}) {
+    KernelConfig cfg = guard.saved;
+    cfg.simd = simd;
+    KernelConfig::set_active(cfg);
+    for (const MK s : {MK{4, 300}, MK{16, 16}, MK{45, 60}, MK{46, 60}, MK{6, 400}, MK{8, 400},
+                       MK{160, 300}})
+      for (const Op ta : kOps)
+        for (const Op tb : kOps) {
+          const Mat a = (ta == Op::None) ? random_matrix(s.m, s.k, rng)
+                                         : random_matrix(s.k, s.m, rng);
+          // Column j of op(B) is column j of B, or row j of B when transposed.
+          const Mat b = (tb == Op::None) ? random_matrix(s.k, kMaxWidth, rng)
+                                         : random_matrix(kMaxWidth, s.k, rng);
+          const Mat c0 = random_matrix(s.m, kMaxWidth, rng);
+          const auto op_b = [&](index_t j0, index_t w) {
+            return (tb == Op::None) ? b.block(0, j0, s.k, w) : b.block(j0, 0, w, s.k);
+          };
+          Mat alone = c0;
+          for (index_t j = 0; j < kMaxWidth; ++j) {
+            gemm(ta, tb, -0.7, a.view(), op_b(j, 1), 0.5, alone.block(0, j, s.m, 1));
+          }
+          const std::string what = "gemm m=" + std::to_string(s.m) +
+                                   " k=" + std::to_string(s.k) +
+                                   " simd=" + std::to_string(simd) +
+                                   " ta=" + std::to_string(static_cast<int>(ta)) +
+                                   " tb=" + std::to_string(static_cast<int>(tb));
+          for (index_t w = 1; w <= kMaxWidth; ++w) {
+            Mat c(s.m, w);
+            copy(c0.block(0, 0, s.m, w), c.view());
+            gemm(ta, tb, -0.7, a.view(), op_b(0, w), 0.5, c.view());
+            expect_columns_alone(c, alone, what);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+  }
+}
+
 // ----- counter invariants ---------------------------------------------------
 // The attainment layer's model_ratio gate requires the kernels to charge
 // closed-form totals on the calling thread regardless of how the work is

@@ -20,6 +20,7 @@
 #include "service/cache.h"
 #include "service/service.h"
 #include "toeplitz/generators.h"
+#include "util/fault.h"
 #include "util/metrics.h"
 
 namespace bst {
@@ -171,8 +172,11 @@ TEST(FactorCache, ThrowingFactoryPropagatesAndLeavesNoEntry) {
 
 // --------------------------------------------------------- panel-block solve
 
+// The panel width is only the pool grain: every width gives
+// solve_rtdr_multi's bits (n = 160 puts 32- and 96-row gemm updates in the
+// blocked trsm).
 TEST(SolvePanels, MatchesMultiForAnyPanelWidth) {
-  BlockToeplitz t = toeplitz::kms(48, 0.5);
+  BlockToeplitz t = toeplitz::kms(160, 0.5);
   core::SchurFactor f = factor_of(t);
   const la::index_t n = t.order(), k = 11;
   la::Mat b(n, k);
@@ -185,13 +189,9 @@ TEST(SolvePanels, MatchesMultiForAnyPanelWidth) {
     for (bool parallel : {false, true}) {
       la::Mat x = b;
       core::solve_rtdr_panels(f.r.view(), nullptr, x.view(), panel, parallel);
-      double err = 0.0;
-      for (la::index_t j = 0; j < k; ++j) {
-        for (la::index_t i = 0; i < n; ++i) {
-          err = std::max(err, std::fabs(x.view().col(j)[i] - ref.view().col(j)[i]));
-        }
-      }
-      EXPECT_LT(err, 1e-12) << "panel=" << panel << " parallel=" << parallel;
+      EXPECT_EQ(0, std::memcmp(x.data(), ref.data(),
+                               static_cast<std::size_t>(n * k) * sizeof(double)))
+          << "panel=" << panel << " parallel=" << parallel;
     }
   }
 }
@@ -226,7 +226,7 @@ TEST(Service, SolveHitsCacheOnRepeat) {
   EXPECT_LT(max_err_vs_ones(r1.x), 1e-10);
   SolveResult r2 = svc.solve(t, b);
   EXPECT_TRUE(r2.cache_hit);
-  EXPECT_EQ(r1.x, r2.x);  // bitwise: same factor, same panel shape
+  EXPECT_EQ(r1.x, r2.x);  // bitwise: same factor, same column
   const service::ServiceStats s = svc.stats();
   EXPECT_EQ(s.cache.hits, 1u);
   EXPECT_EQ(s.cache.misses, 1u);
@@ -244,19 +244,36 @@ TEST(Service, DifferentProblemsMiss) {
   EXPECT_EQ(svc.stats().cache.hits, 0u);
 }
 
+// No padding: a batch of k columns gives each column the bits of solve(),
+// and solve() gives the bits of the library's own one-column solve, at every
+// k from 1 to 64 (n = 500 runs eight 64-row trsm blocks).
 TEST(Service, SolveManyMatchesSingleSolvesBitwise) {
-  Service svc(small_opts());
-  BlockToeplitz t = toeplitz::kms(40, 0.5);
-  const la::index_t n = t.order(), k = 7;
-  la::Mat b(n, k);
-  for (la::index_t i = 0; i < n * k; ++i) b.data()[i] = std::sin(0.05 * i);
-  la::Mat x = svc.solve_many(t, b.view());
-  for (la::index_t j = 0; j < k; ++j) {
-    std::vector<double> bj(b.view().col(j), b.view().col(j) + n);
-    SolveResult r = svc.solve(t, bj);
-    EXPECT_EQ(0, std::memcmp(r.x.data(), x.view().col(j),
-                             static_cast<std::size_t>(n) * sizeof(double)))
-        << "column " << j;
+  for (const BlockToeplitz& t : {toeplitz::kms(40, 0.5), toeplitz::random_spd_block(4, 25, 4, 11),
+                                 toeplitz::random_spd_block(4, 125, 4, 11)}) {
+    const la::index_t n = t.order(), kmax = 64;
+    la::Mat b(n, kmax);
+    for (la::index_t i = 0; i < n * kmax; ++i) b.data()[i] = std::sin(0.013 * i + 0.2);
+    Service svc(small_opts());
+    const core::SchurFactor f = factor_of(t);
+    const auto bytes = static_cast<std::size_t>(n) * sizeof(double);
+    std::vector<std::vector<double>> alone(static_cast<std::size_t>(kmax));
+    for (la::index_t j = 0; j < kmax; ++j) {
+      const std::vector<double> bj(b.view().col(j), b.view().col(j) + n);
+      alone[static_cast<std::size_t>(j)] = svc.solve(t, bj).x;
+      la::Mat lib(n, 1);
+      la::copy(b.block(0, j, n, 1), lib.view());
+      core::solve_rtdr_multi(f.r.view(), nullptr, lib.view());
+      ASSERT_EQ(0, std::memcmp(alone[static_cast<std::size_t>(j)].data(), lib.data(), bytes))
+          << "n=" << n << " solve() column " << j << " differs from solve_rtdr_multi";
+    }
+    for (la::index_t k = 1; k <= kmax; ++k) {
+      const la::Mat x = svc.solve_many(t, b.block(0, 0, n, k));
+      for (la::index_t j = 0; j < k; ++j) {
+        ASSERT_EQ(0, std::memcmp(x.view().col(j), alone[static_cast<std::size_t>(j)].data(),
+                                 bytes))
+            << "n=" << n << " k=" << k << " column " << j;
+      }
+    }
   }
 }
 
@@ -394,6 +411,89 @@ TEST(Service, RefinedAsyncMatchesRefinedSyncBitwise) {
   EXPECT_EQ(res.solver_path, "schur+refine");
   ASSERT_EQ(res.x.size(), want.size());
   EXPECT_EQ(std::memcmp(res.x.data(), want.data(), want.size() * sizeof(double)), 0);
+}
+
+// Requests of one key queue behind a dispatcher slowed by an injected fault
+// and share one copy of their matrix; the entry goes once they are served.
+TEST(Service, QueuedRequestsShareOneMatrixPerKey) {
+  const BlockToeplitz t = toeplitz::random_spd_block(4, 32, 4, 5);
+  const la::index_t n = t.order();
+  const int kReqs = 64;
+  std::vector<std::vector<double>> rhs(kReqs);
+  for (int r = 0; r < kReqs; ++r) {
+    rhs[r].resize(static_cast<std::size_t>(n));
+    for (la::index_t i = 0; i < n; ++i) {
+      rhs[r][static_cast<std::size_t>(i)] = std::cos(0.03 * i + 0.7 * r);
+    }
+  }
+  std::vector<std::vector<double>> want(kReqs);
+  {
+    Service ref(small_opts());
+    for (int r = 0; r < kReqs; ++r) want[r] = ref.solve(t, rhs[r]).x;
+  }
+  ::setenv("BST_FAULT", "dispatch:slow", 1);
+  ::setenv("BST_FAULT_SLOW_MS", "250", 1);
+  util::Fault::reload();
+  {
+    ServiceOptions o = small_opts();
+    o.slow_ms = 0.0;  // the injected delay is not news
+    Service svc(o);
+    EXPECT_EQ(svc.stats().queued_matrices, 0u);
+    std::vector<std::future<SolveResult>> futs;
+    for (int r = 0; r < kReqs; ++r) futs.push_back(svc.submit(t, rhs[r]));
+    // Every dispatch sleeps 250 ms first, so requests are still queued or
+    // being dispatched here.
+    EXPECT_EQ(svc.stats().queued_matrices, 1u);
+    EXPECT_NE(svc.stats_json().dump_compact().find("\"queued_matrices\":1"), std::string::npos);
+    for (int r = 0; r < kReqs; ++r) {
+      const SolveResult res = futs[static_cast<std::size_t>(r)].get();
+      ASSERT_EQ(res.x.size(), want[r].size());
+      EXPECT_EQ(0, std::memcmp(res.x.data(), want[r].data(), res.x.size() * sizeof(double)))
+          << "request " << r;
+    }
+    svc.drain();
+    EXPECT_EQ(svc.stats().queued_matrices, 0u);
+  }
+  ::unsetenv("BST_FAULT");
+  ::unsetenv("BST_FAULT_SLOW_MS");
+  util::Fault::reload();
+}
+
+// ------------------------------------------------------- option validation
+// The constructor rejects what from_env rejects, naming the field, and
+// starts no dispatcher.
+
+void expect_rejected_option(const ServiceOptions& o, const char* field) {
+  try {
+    Service svc(o);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(ServiceOptions, RejectsZeroRhsPanel) {
+  ServiceOptions o = small_opts();
+  o.rhs_panel = 0;
+  expect_rejected_option(o, "rhs_panel");
+}
+
+TEST(ServiceOptions, RejectsZeroMaxBatch) {
+  ServiceOptions o = small_opts();
+  o.max_batch = 0;
+  expect_rejected_option(o, "max_batch");
+}
+
+TEST(ServiceOptions, RejectsZeroQueueCapacity) {
+  ServiceOptions o = small_opts();
+  o.queue_capacity = 0;
+  expect_rejected_option(o, "queue_capacity");
+}
+
+TEST(ServiceOptions, RejectsNegativeRefineSteps) {
+  ServiceOptions o = small_opts();
+  o.refine_steps = -1;
+  expect_rejected_option(o, "refine_steps");
 }
 
 // ---------------------------------------------------------------- env knobs
