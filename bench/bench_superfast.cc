@@ -5,7 +5,9 @@
 //    (toeplitz/fft.h), over a size sweep up to --nmax.  The dense route is
 //    O(n^2); the FFT route is O(m^2 n log n) after a one-time O(m^2 n log n)
 //    setup, so the gap widens with n.  CI gates on
-//    metrics.fft_speedup_n4096 >= 4 (see .github/workflows/ci.yml).
+//    metrics.fft_speedup_n4096 >= 25 (see .github/workflows/ci.yml), a
+//    floor a radix-2 complex transform with recurrence twiddles (10.9x)
+//    does not reach.
 //  * Solver crossover: wall time of the full Schur factorization solve vs
 //    the circulant-preconditioned CG route (core/pcg.h) on a large
 //    well-conditioned KMS instance, both forced through core::toeplitz_solve

@@ -1,5 +1,6 @@
 #include "core/flop_model.h"
 
+#include <bit>
 #include <cstdint>
 
 #include "toeplitz/fft.h"
@@ -7,6 +8,13 @@
 namespace bst::core {
 namespace {
 double d(index_t v) { return static_cast<double>(v); }
+
+// The nominal 5 N log2 N of one power-of-two complex core transform.
+double core_flops(std::size_t len) {
+  return 5.0 * static_cast<double>(len) * static_cast<double>(std::countr_zero(len));
+}
+
+bool is_pow2(std::size_t n) { return (n & (n - 1)) == 0; }
 }  // namespace
 
 double blocking_flops_accumulated_u(index_t m_, index_t k_) {
@@ -162,56 +170,76 @@ double factorization_flops_model(index_t n, index_t ms) {
   return 4.0 * d(ms) * d(n) * d(n);
 }
 
-double fft_flops_impl(std::size_t n, bool inverse) {
+double fft_flops_impl(std::size_t n, bool inverse, bool real) {
   if (n <= 1) return 0.0;
-  std::uint64_t log2n = 0;
-  for (std::size_t v = n; v > 1; v >>= 1) ++log2n;
-  return 5.0 * static_cast<double>(n) * static_cast<double>(log2n) +
-         (inverse ? static_cast<double>(n) : 0.0);
+  if (!real) return core_flops(n) + (inverse ? 2.0 * static_cast<double>(n) : 0.0);
+  // A length-h complex transform of the interleaved samples, and the pass
+  // that splits (joins) the halves: 18 flops per bin pair (k, h - k) with
+  // 0 < k < h/2, plus the ends -- 2 for bins 0 and h forward; 4 for them
+  // and 2 for bin h/2 inverse.
+  const std::size_t h = n / 2;
+  const double pairs = static_cast<double>((h - 1) / 2);
+  const double pass = inverse ? 4.0 + (h >= 2 ? 2.0 : 0.0) : 2.0;
+  return core_flops(h) + 18.0 * pairs + pass;
 }
 
-double dft_flops_impl(std::size_t n, bool inverse) {
+double dft_flops_impl(std::size_t n, bool inverse, bool real) {
   if (n <= 1) return 0.0;
-  if ((n & (n - 1)) == 0) return fft_flops_impl(n, inverse);
-  // Bluestein: two forward and one inverse transform at the embedding
-  // order, plus the explicitly charged chirp/pointwise work.  The cost is
-  // direction-independent (the inverse only changes the chirp's sign).
-  const std::size_t nfft = toeplitz::next_pow2(2 * n - 1);
-  return 2.0 * fft_flops_impl(nfft, false) + fft_flops_impl(nfft, true) +
-         6.0 * static_cast<double>(nfft) + 12.0 * static_cast<double>(n);
+  if (is_pow2(n)) return fft_flops_impl(n, inverse, real);
+  // Bluestein through the plan: forward and inverse core transforms at
+  // order M with the pointwise kernel product between (6 M), bracketed by
+  // the chirp passes: 6 flops per complex product, 2 per real-by-complex
+  // product, 4 per real part of one, 2 per scaling.
+  const std::size_t core = toeplitz::next_pow2(2 * n - 1);
+  const auto nd = static_cast<double>(n);
+  const double convolve = 2.0 * core_flops(core) + 6.0 * static_cast<double>(core);
+  if (!real) return convolve + 12.0 * nd + (inverse ? 2.0 * nd : 0.0);
+  if (inverse) return convolve + 10.0 * nd;
+  return convolve + 2.0 * nd + 6.0 * static_cast<double>(n / 2 + 1);
+}
+
+double fft_plan_flops_impl(std::size_t n) {
+  if (n <= 1 || is_pow2(n)) return 0.0;
+  const std::size_t m = toeplitz::next_pow2(2 * n - 1);
+  return core_flops(m) + 2.0 * static_cast<double>(m);
 }
 
 std::vector<util::PhaseModel> pcg_phase_models(index_t m, index_t p, int iterations) {
   std::vector<util::PhaseModel> out;
   if (m <= 0 || p <= 0) return out;
-  const double md = d(m), pd = d(p), n = md * pd;
-  const std::size_t nfft = toeplitz::next_pow2(2 * static_cast<std::size_t>(p));
+  const double md = d(m), n = md * d(p);
+  const auto pu = static_cast<std::size_t>(p);
+  const std::size_t nfft = toeplitz::next_pow2(2 * pu);
+  const double embed_bins = static_cast<double>(nfft / 2 + 1);
+  const std::size_t bins = pu / 2 + 1;
   const double its = static_cast<double>(iterations);
 
-  // BlockCirculantMultiplier ctor: m^2 forward transforms at the embedding
-  // order (the pointwise assembly is copies, not flops).
-  out.push_back({"fft_setup", md * md * fft_flops_impl(nfft, false), 0.0});
+  // BlockCirculantMultiplier ctor: m^2 real forward transforms at the
+  // embedding order (a power of two, so its plan charges nothing).
+  out.push_back({"fft_setup", md * md * fft_flops_impl(nfft, false, true), 0.0});
 
-  // CirculantPreconditioner ctor: m^2 forward DFTs of length p plus the
-  // integer-arithmetic Cholesky charge from pcg.cc.
+  // CirculantPreconditioner ctor: the length-p plan, m^2 real forward
+  // transforms of length p, and the integer-arithmetic Cholesky charge
+  // over the p/2 + 1 stored frequencies from pcg.cc.
   const double chol = static_cast<double>(8 * static_cast<std::uint64_t>(m) *
                                           static_cast<std::uint64_t>(m) *
-                                          static_cast<std::uint64_t>(m) *
-                                          static_cast<std::uint64_t>(p) / 3);
-  out.push_back({"pcg_setup", md * md * dft_flops_impl(static_cast<std::size_t>(p), false) + chol,
-                 0.0});
+                                          static_cast<std::uint64_t>(m) * bins / 3);
+  out.push_back({"pcg_setup",
+                 fft_plan_flops_impl(pu) + md * md * dft_flops_impl(pu, false, true) + chol, 0.0});
 
-  // The solve, inclusive of nested spans: per matvec m forward + m inverse
-  // transforms and the 8 P m^2 spectral accumulate; per preconditioner
-  // apply (one initial + one per non-final iteration = `iterations` total
-  // on a converged run) 2m DFTs of length p and the 8 m^2 p triangular
-  // solves; plus 10 n vector-update flops per iteration.
-  const double matvec = md * (fft_flops_impl(nfft, false) + fft_flops_impl(nfft, true)) +
-                        8.0 * static_cast<double>(nfft) * md * md;
-  const double precond = md * (dft_flops_impl(static_cast<std::size_t>(p), false) +
-                               dft_flops_impl(static_cast<std::size_t>(p), true)) +
-                         8.0 * md * md * pd;
-  out.push_back({"pcg", its * (matvec + precond + 10.0 * n), 0.0});
+  // The solve, inclusive of nested spans: per matvec m real forward + m
+  // real inverse transforms and the 8 m^2 multiply-accumulate over the
+  // embedding's half bins; per preconditioner apply (one initial + one per
+  // non-final iteration = `iterations` total on a converged run) 2m real
+  // transforms of length p and the 8 m^2 triangular solves per stored
+  // frequency; 10 n vector-update flops per iteration; and 3 n per nrm2
+  // (||b|| once, then one per iteration).
+  const double matvec =
+      md * (fft_flops_impl(nfft, false, true) + fft_flops_impl(nfft, true, true)) +
+      8.0 * embed_bins * md * md;
+  const double precond = md * (dft_flops_impl(pu, false, true) + dft_flops_impl(pu, true, true)) +
+                         8.0 * md * md * static_cast<double>(bins);
+  out.push_back({"pcg", its * (matvec + precond + 10.0 * n) + 3.0 * n * (its + 1.0), 0.0});
   return out;
 }
 

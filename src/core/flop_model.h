@@ -73,22 +73,34 @@ std::vector<util::PhaseModel> schur_phase_models(Representation rep, index_t n, 
 /// the leading-order term used in the block-size tradeoff discussion.
 double factorization_flops_model(index_t n, index_t ms);
 
-/// As-charged cost of one fft() call of the given length (toeplitz/fft.h
-/// charges 5 n log2 n, plus n for the inverse's scaling pass).
-double fft_flops_impl(std::size_t n, bool inverse);
+/// As-charged cost of one power-of-two transform of length n through a
+/// toeplitz::FftPlan: a complex transform charges the nominal 5 n log2 n,
+/// plus 2n for the inverse's scaling pass; a real-input one (`real`)
+/// charges its half-length complex transform plus the post-pass (forward)
+/// or pre-pass (inverse) that splits or joins the two real halves.
+double fft_flops_impl(std::size_t n, bool inverse, bool real = false);
 
-/// As-charged cost of one dft() call: fft for powers of two, Bluestein's
-/// three transforms plus chirp work otherwise.
-double dft_flops_impl(std::size_t n, bool inverse);
+/// As-charged cost of one transform of length n through a plan: fft for
+/// powers of two, otherwise Bluestein's two core transforms and pointwise
+/// product against the cached chirp spectrum plus the chirp passes.  The
+/// plan's own build is fft_plan_flops_impl.
+double dft_flops_impl(std::size_t n, bool inverse, bool real = false);
+
+/// As-charged cost of building an FftPlan of length n: the cached chirp
+/// spectrum (one core transform and its scaling) at Bluestein lengths, 0
+/// at powers of two.  A one-shot fft()/dft() call costs this plus one
+/// transform.
+double fft_plan_flops_impl(std::size_t n);
 
 /// Per-phase modeled flop budget of a *converged* circulant-preconditioned
 /// CG solve (core/pcg.h) on a block Toeplitz system with block size m and
-/// p block rows that spent `iterations` matvecs: "fft_setup" (the
-/// block-circulant spectra of the operator), "pcg_setup" (Strang spectra +
-/// per-frequency Cholesky) and "pcg" (the solve, inclusive of its nested
-/// matvec/preconditioner spans).  As-implemented models only -- the paper
-/// has no superfast tier, so paper_flops stays 0 and the attainment join
-/// reports model_ratio alone for these phases.
+/// p block rows that spent `iterations` matvecs: "fft_setup" (the m^2
+/// block-circulant half spectra of the operator), "pcg_setup" (the length-p
+/// plan, the m^2 Strang half spectra and the per-frequency Cholesky over
+/// frequencies 0 .. p/2) and "pcg" (the solve, inclusive of its nested
+/// matvec/preconditioner spans and norms).  As-implemented models only --
+/// the paper has no superfast tier, so paper_flops stays 0 and the
+/// attainment join reports model_ratio alone for these phases.
 std::vector<util::PhaseModel> pcg_phase_models(index_t m, index_t p, int iterations);
 
 }  // namespace bst::core

@@ -1,9 +1,10 @@
 #include "core/pcg.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "la/condest.h"
 #include "la/norms.h"
@@ -41,15 +42,19 @@ CirculantPreconditioner::CirculantPreconditioner(const toeplitz::BlockToeplitz& 
     : m_(t.block_size()), p_(t.num_blocks()) {
   util::TraceSpan span(kPcgSetupPhase);
   const std::size_t mm = static_cast<std::size_t>(m_ * m_);
-  const std::size_t pu = static_cast<std::size_t>(p_);
+  plan_ = toeplitz::FftPlan(std::max<std::size_t>(static_cast<std::size_t>(p_), 1));
+  const std::size_t bins = plan_.bins();
 
-  // Frequency blocks What_f(ri, rj) = forward DFT (length p) of the Strang
-  // coefficient sequence W_l(ri, rj).  T's block at offset d = bi - bj is
+  // Frequency blocks What_f(ri, rj), f <= p/2, = real forward transform
+  // (length p) of the Strang coefficient sequence W_l(ri, rj), computed in
+  // place in its slot of `spec`.  T's block at offset d = bi - bj is
   // T_{1-d} for d <= 0 and T_{d+1}^T for d > 0.
-  std::vector<std::vector<cplx>> spec(mm);
-  std::vector<cplx> seq(pu);
+  std::vector<cplx> spec(mm * bins);
+  std::vector<cplx> work(plan_.work_size());
   for (la::index_t ri = 0; ri < m_; ++ri) {
     for (la::index_t rj = 0; rj < m_; ++rj) {
+      cplx* s = spec.data() + static_cast<std::size_t>(ri * m_ + rj) * bins;
+      double* seq = reinterpret_cast<double*>(s);
       for (la::index_t l = 0; l < p_; ++l) {
         double w;
         if (2 * l < p_) {
@@ -59,24 +64,26 @@ CirculantPreconditioner::CirculantPreconditioner(const toeplitz::BlockToeplitz& 
         } else {
           w = 0.5 * (t.block(l + 1)(rj, ri) + t.block(l + 1)(ri, rj));
         }
-        seq[static_cast<std::size_t>(l)] = cplx(w, 0.0);
+        seq[l] = w;
       }
-      toeplitz::dft(seq, /*inverse=*/false);
-      spec[static_cast<std::size_t>(ri * m_ + rj)] = seq;
+      plan_.forward_real(s, work.data());
     }
   }
+  auto at = [&](la::index_t i, la::index_t j, std::size_t f) {
+    return spec[static_cast<std::size_t>(i * m_ + j) * bins + f];
+  };
 
   // Complex Cholesky LL^H of each (Hermitian) frequency block.
-  fac_.assign(pu * mm, cplx{});
+  fac_.assign(bins * mm, cplx{});
   min_pivot_ = std::numeric_limits<double>::infinity();
   max_pivot_ = 0.0;
   util::FlopCounter::charge(8 * static_cast<std::uint64_t>(m_) *
                             static_cast<std::uint64_t>(m_) *
-                            static_cast<std::uint64_t>(m_) * pu / 3);
-  for (std::size_t f = 0; f < pu; ++f) {
+                            static_cast<std::uint64_t>(m_) * bins / 3);
+  for (std::size_t f = 0; f < bins; ++f) {
     cplx* l = fac_.data() + f * mm;
     for (la::index_t j = 0; j < m_; ++j) {
-      double d = spec[static_cast<std::size_t>(j * m_ + j)][f].real();
+      double d = at(j, j, f).real();
       for (la::index_t k = 0; k < j; ++k) d -= std::norm(l[j + k * m_]);
       min_pivot_ = std::min(min_pivot_, d);
       max_pivot_ = std::max(max_pivot_, d);
@@ -85,9 +92,9 @@ CirculantPreconditioner::CirculantPreconditioner(const toeplitz::BlockToeplitz& 
         return;
       }
       const double ljj = std::sqrt(d);
-      l[j + j * m_] = cplx(ljj, 0.0);
+      l[j + j * m_] = cplx(1.0 / ljj, 0.0);  // the solves multiply by it
       for (la::index_t i = j + 1; i < m_; ++i) {
-        cplx s = spec[static_cast<std::size_t>(i * m_ + j)][f];
+        cplx s = at(i, j, f);
         for (la::index_t k = 0; k < j; ++k) s -= l[i + k * m_] * std::conj(l[j + k * m_]);
         l[i + j * m_] = s / ljj;
       }
@@ -97,52 +104,72 @@ CirculantPreconditioner::CirculantPreconditioner(const toeplitz::BlockToeplitz& 
 
 void CirculantPreconditioner::apply_inverse(const std::vector<double>& r,
                                             std::vector<double>& z) const {
-  assert(spd_ && "apply_inverse on a non-SPD preconditioner");
-  assert(static_cast<la::index_t>(r.size()) == order());
+  if (!spd_) {
+    throw std::invalid_argument(
+        "CirculantPreconditioner::apply_inverse: the preconditioner is not positive definite");
+  }
+  if (static_cast<la::index_t>(r.size()) != order()) {
+    throw std::invalid_argument("CirculantPreconditioner::apply_inverse: r has length " +
+                                std::to_string(r.size()) + ", the order is " +
+                                std::to_string(order()));
+  }
   util::TraceSpan span(kPcgPrecondPhase);
-  const std::size_t pu = static_cast<std::size_t>(p_);
-  const std::size_t mm = static_cast<std::size_t>(m_ * m_);
+  const auto m = static_cast<std::size_t>(m_);
+  const auto p = static_cast<std::size_t>(p_);
+  const std::size_t mm = m * m, bins = plan_.bins();
 
-  // Forward DFT of the m strided components of r.
-  std::vector<std::vector<cplx>> v(static_cast<std::size_t>(m_));
-  for (la::index_t c = 0; c < m_; ++c) {
-    auto& vc = v[static_cast<std::size_t>(c)];
-    vc.resize(pu);
-    for (la::index_t l = 0; l < p_; ++l) {
-      vc[static_cast<std::size_t>(l)] = cplx(r[static_cast<std::size_t>(l * m_ + c)], 0.0);
-    }
-    toeplitz::dft(vc, /*inverse=*/false);
+  // One allocation per call: the m half spectra, the per-frequency vector
+  // and the transforms' scratch.
+  std::vector<cplx> buf(m * bins + m + plan_.work_size());
+  cplx* v = buf.data();
+  cplx* u = v + m * bins;
+  cplx* work = u + m;
+
+  // Real forward transforms of the m strided components of r.
+  for (std::size_t c = 0; c < m; ++c) {
+    double* vc = reinterpret_cast<double*>(v + c * bins);
+    for (std::size_t l = 0; l < p; ++l) vc[l] = r[l * m + c];
+    plan_.forward_real(v + c * bins, work);
   }
 
-  // Per-frequency L L^H u = rhat solves (two m x m triangular sweeps).
-  util::FlopCounter::charge(8 * static_cast<std::uint64_t>(m_) *
-                            static_cast<std::uint64_t>(m_) * pu);
-  std::vector<cplx> u(static_cast<std::size_t>(m_));
-  for (std::size_t f = 0; f < pu; ++f) {
-    const cplx* l = fac_.data() + f * mm;
-    for (la::index_t i = 0; i < m_; ++i) u[static_cast<std::size_t>(i)] = v[static_cast<std::size_t>(i)][f];
-    for (la::index_t i = 0; i < m_; ++i) {  // L y = u
-      cplx s = u[static_cast<std::size_t>(i)];
-      for (la::index_t k = 0; k < i; ++k) s -= l[i + k * m_] * u[static_cast<std::size_t>(k)];
-      u[static_cast<std::size_t>(i)] = s / l[i + i * m_].real();
-    }
-    for (la::index_t i = m_ - 1; i >= 0; --i) {  // L^H w = y
-      cplx s = u[static_cast<std::size_t>(i)];
-      for (la::index_t k = i + 1; k < m_; ++k) {
-        s -= std::conj(l[k + i * m_]) * u[static_cast<std::size_t>(k)];
+  // Per-frequency L L^H u = rhat solves (two m x m triangular sweeps, in
+  // real arithmetic); the frequencies above p/2 are the conjugates, which
+  // inverse_real implies.
+  util::FlopCounter::charge(8 * static_cast<std::uint64_t>(mm) * bins);
+  double* ud = reinterpret_cast<double*>(u);
+  for (std::size_t f = 0; f < bins; ++f) {
+    const double* l = reinterpret_cast<const double*>(fac_.data() + f * mm);
+    for (std::size_t i = 0; i < m; ++i) u[i] = v[i * bins + f];
+    for (std::size_t i = 0; i < m; ++i) {  // L y = u
+      double sr = ud[2 * i], si = ud[2 * i + 1];
+      for (std::size_t k = 0; k < i; ++k) {
+        const double lr = l[2 * (i + k * m)], li = l[2 * (i + k * m) + 1];
+        sr -= lr * ud[2 * k] - li * ud[2 * k + 1];
+        si -= lr * ud[2 * k + 1] + li * ud[2 * k];
       }
-      u[static_cast<std::size_t>(i)] = s / l[i + i * m_].real();
+      const double inv = l[2 * (i + i * m)];
+      ud[2 * i] = sr * inv;
+      ud[2 * i + 1] = si * inv;
     }
-    for (la::index_t i = 0; i < m_; ++i) v[static_cast<std::size_t>(i)][f] = u[static_cast<std::size_t>(i)];
+    for (std::size_t i = m; i-- > 0;) {  // L^H w = y
+      double sr = ud[2 * i], si = ud[2 * i + 1];
+      for (std::size_t k = i + 1; k < m; ++k) {
+        const double lr = l[2 * (k + i * m)], li = l[2 * (k + i * m) + 1];
+        sr -= lr * ud[2 * k] + li * ud[2 * k + 1];
+        si -= lr * ud[2 * k + 1] - li * ud[2 * k];
+      }
+      const double inv = l[2 * (i + i * m)];
+      ud[2 * i] = sr * inv;
+      ud[2 * i + 1] = si * inv;
+    }
+    for (std::size_t i = 0; i < m; ++i) v[i * bins + f] = u[i];
   }
 
   z.resize(static_cast<std::size_t>(order()));
-  for (la::index_t c = 0; c < m_; ++c) {
-    auto& vc = v[static_cast<std::size_t>(c)];
-    toeplitz::dft(vc, /*inverse=*/true);
-    for (la::index_t l = 0; l < p_; ++l) {
-      z[static_cast<std::size_t>(l * m_ + c)] = vc[static_cast<std::size_t>(l)].real();
-    }
+  for (std::size_t c = 0; c < m; ++c) {
+    plan_.inverse_real(v + c * bins, work);
+    const double* vc = reinterpret_cast<const double*>(v + c * bins);
+    for (std::size_t l = 0; l < p; ++l) z[l * m + c] = vc[l];
   }
   util::ByteCounter::charge(16 * static_cast<std::uint64_t>(order()));
 }
@@ -155,10 +182,15 @@ PcgOptions PcgOptions::from_env(PcgOptions base) {
 
 PcgResult pcg_solve(const toeplitz::MatVec& op, const CirculantPreconditioner& precond,
                     const std::vector<double>& b, const PcgOptions& opt) {
+  const auto n = static_cast<std::size_t>(op.order());
+  if (b.size() != n || precond.order() != op.order()) {
+    throw std::invalid_argument("pcg_solve: b has length " + std::to_string(b.size()) +
+                                " and the preconditioner order " +
+                                std::to_string(precond.order()) + " for an operator of order " +
+                                std::to_string(n));
+  }
   util::TraceSpan span(kPcgPhase);
   PcgResult res;
-  const auto n = static_cast<std::size_t>(op.order());
-  assert(b.size() == n && precond.order() == op.order());
   res.x.assign(n, 0.0);
 
   const double nb = la::norm2(b);
@@ -195,7 +227,8 @@ PcgResult pcg_solve(const toeplitz::MatVec& op, const CirculantPreconditioner& p
     const double rn = la::norm2(r);
     res.residual_norms.push_back(rn);
     last = rn;
-    // Vector updates: two axpys, two dots, one norm (~10 n flops/iter).
+    // Vector updates: two axpys, two dots and one xpay (10 n flops/iter);
+    // the norm charges its own 3 n.
     util::FlopCounter::charge(10 * static_cast<std::uint64_t>(n));
     util::ByteCounter::charge(8 * 7 * static_cast<std::uint64_t>(n));
     if (rn <= opt.tol * nb) {

@@ -6,19 +6,22 @@
 // preconditioner gets to machine precision in O(1) iterations of
 // O(m^2 P log P) work each (P = next_pow2(2p)), because the preconditioned
 // spectrum clusters at 1 for Wiener-class symbols (Chan & Strang).  Both
-// the operator (toeplitz::MatVec in Fft mode) and the preconditioner ride
-// the cached-spectra machinery of toeplitz/fft.h.
+// the operator (toeplitz::MatVec in Fft mode) and the preconditioner run
+// on the one transform engine of toeplitz/fft.h (toeplitz::FftPlan).
 //
 // The preconditioner M is the block circulant that copies T's central
 // block diagonals and wraps them: W_l = A_l for l < p/2, A_{l-p} for
 // l > p/2, and the average of both for l = p/2 (A_d is T's block at
 // offset d).  Symmetry of T gives W_{p-l} = W_l^T, so M is symmetric and
 // its frequency blocks  What_f = sum_l W_l e^{-2 pi i f l / p}  are
-// Hermitian; each is factored once by a complex Cholesky LL^H.  A solve
-// M z = r is then m forward DFTs of length p, p independent m x m
-// triangular solve pairs, and m inverse DFTs.  When some frequency block
-// is not positive definite, M is not SPD and the solver policy
-// (core/solver.h) keeps such systems on the Schur path.
+// Hermitian; the W_l are real, so What_{p-f} = conj(What_f) as well.  The
+// preconditioner therefore transforms real sequences and keeps, factors
+// (complex Cholesky LL^H) and solves only the frequencies 0 .. floor(p/2),
+// at every p.  A solve M z = r is m real forward transforms of length p,
+// floor(p/2) + 1 independent m x m triangular solve pairs, and m real
+// inverse transforms.  When some frequency block is not positive definite,
+// M is not SPD and the solver policy (core/solver.h) keeps such systems on
+// the Schur path.
 #pragma once
 
 #include <vector>
@@ -35,13 +38,14 @@ class CirculantPreconditioner {
  public:
   explicit CirculantPreconditioner(const toeplitz::BlockToeplitz& t);
 
-  /// z := M^{-1} r (z resized to the order).  Only valid when
-  /// positive_definite().
+  /// z := M^{-1} r (z resized to the order).  Throws
+  /// std::invalid_argument when !positive_definite() or when r is not of
+  /// the order.
   void apply_inverse(const std::vector<double>& r, std::vector<double>& z) const;
 
   /// Whether every frequency block admitted a Cholesky factorization
-  /// (equivalently: M is SPD).  When false, apply_inverse must not be
-  /// called and PCG is off the table for this matrix.
+  /// (equivalently: M is SPD).  When false, apply_inverse throws and PCG is
+  /// off the table for this matrix.
   [[nodiscard]] bool positive_definite() const noexcept { return spd_; }
 
   [[nodiscard]] la::index_t order() const noexcept { return m_ * p_; }
@@ -57,8 +61,10 @@ class CirculantPreconditioner {
   la::index_t m_ = 0, p_ = 0;
   bool spd_ = true;
   double min_pivot_ = 0.0, max_pivot_ = 0.0;
-  // p frequency blocks, each a column-major m x m lower factor L with
-  // L L^H = What_f; frequency f starts at f*m*m.
+  toeplitz::FftPlan plan_;  // length p
+  // floor(p/2) + 1 frequency blocks, each a column-major m x m lower factor
+  // L with L L^H = What_f, its diagonal stored as the reciprocals the
+  // solves multiply by; frequency f starts at f*m*m.
   std::vector<toeplitz::cplx> fac_;
 };
 
@@ -83,7 +89,9 @@ struct PcgResult {
 
 /// Solves T x = b by preconditioned CG.  `op` must evaluate the exact
 /// Toeplitz operator (use MatVecMode::Fft for the O(n log n) cost this
-/// path exists for); `precond` must be positive_definite().  Non-SPD
+/// path exists for); `precond` must be positive_definite().  Throws
+/// std::invalid_argument when b or `precond` does not match the order of
+/// `op`.  Non-SPD
 /// systems surface as breakdown (p^T T p <= 0) or divergence; both stop
 /// early, leave converged == false, and raise watchdog warnings
 /// ("pcg_breakdown" / "pcg_divergence" / "pcg_no_convergence") so the

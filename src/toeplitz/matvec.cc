@@ -1,6 +1,7 @@
 #include "toeplitz/matvec.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "la/blas.h"
 #include "util/trace.h"
@@ -8,6 +9,23 @@
 namespace bst::toeplitz {
 namespace {
 const util::PhaseId kMatVecPhase = util::Tracer::phase("toeplitz_matvec");
+
+void check_length(const char* what, std::size_t len, la::index_t order) {
+  if (static_cast<la::index_t>(len) != order) {
+    throw std::invalid_argument(std::string("MatVec: ") + what + " has length " +
+                                std::to_string(len) + ", the order is " +
+                                std::to_string(order));
+  }
+}
+
+void check_views(const char* what, la::index_t rows, la::index_t cols, la::index_t order,
+                 la::index_t want_cols) {
+  if (rows != order || cols != want_cols) {
+    throw std::invalid_argument(std::string("MatVec: ") + what + " is " + std::to_string(rows) +
+                                " x " + std::to_string(cols) + ", expected " +
+                                std::to_string(order) + " x " + std::to_string(want_cols));
+  }
+}
 }  // namespace
 
 MatVec::MatVec(const BlockToeplitz& t, MatVecMode mode) : t_(t), mode_(mode) {
@@ -17,8 +35,8 @@ MatVec::MatVec(const BlockToeplitz& t, MatVecMode mode) : t_(t), mode_(mode) {
 }
 
 void MatVec::apply(const std::vector<double>& x, std::vector<double>& y) const {
+  check_length("x", x.size(), t_.order());
   util::TraceSpan span(kMatVecPhase);
-  assert(static_cast<la::index_t>(x.size()) == t_.order());
   y.resize(static_cast<std::size_t>(t_.order()));
   if (mode_ == MatVecMode::Fft) {
     fftmul_->apply(x, y);
@@ -28,8 +46,9 @@ void MatVec::apply(const std::vector<double>& x, std::vector<double>& y) const {
 }
 
 void MatVec::apply(la::CView x, la::View y) const {
+  check_views("x", x.rows(), x.cols(), t_.order(), x.cols());
+  check_views("y", y.rows(), y.cols(), t_.order(), x.cols());
   util::TraceSpan span(kMatVecPhase);
-  assert(x.rows() == t_.order() && y.rows() == t_.order() && x.cols() == y.cols());
   if (mode_ == MatVecMode::Fft) {
     fftmul_->apply(x, y);
     return;
@@ -60,13 +79,13 @@ void MatVec::apply_direct(const double* x, double* y) const {
 
 void MatVec::residual(const std::vector<double>& b, const std::vector<double>& x,
                       std::vector<double>& r) const {
+  check_length("b", b.size(), t_.order());
   apply(x, r);
-  assert(b.size() == r.size());
   for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
 }
 
 void MatVec::residual(la::CView b, la::CView x, la::View r) const {
-  assert(b.rows() == t_.order() && b.cols() == x.cols() && b.cols() == r.cols());
+  check_views("b", b.rows(), b.cols(), t_.order(), x.cols());
   apply(x, r);
   for (la::index_t j = 0; j < b.cols(); ++j) {
     const double* bj = b.data() + j * b.ld();

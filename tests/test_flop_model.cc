@@ -4,10 +4,16 @@
 // flop counters of the real kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <string>
+
 #include "core/block_reflector.h"
 #include "core/flop_model.h"
+#include "core/pcg.h"
 #include "core/schur.h"
 #include "toeplitz/generators.h"
+#include "toeplitz/matvec.h"
 #include "util/flops.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -197,6 +203,38 @@ TEST(FlopModel, TracerPhaseFlopsMatchImplModelsExactly) {
     }
     EXPECT_DOUBLE_EQ(models[0].paper_flops, build_paper) << to_string(rep);
     EXPECT_DOUBLE_EQ(models[1].paper_flops, apply_paper) << to_string(rep);
+  }
+}
+
+// The PCG route's as-implemented models are exact too: the operator's
+// half-spectra setup, the Strang preconditioner's plan, half spectra and
+// per-frequency Cholesky, and the solve with its matvecs, preconditioner
+// applies, vector updates and norms -- at a Bluestein (p = 1000) and a
+// power-of-two (p = 4096) preconditioner length.
+TEST(FlopModel, PcgPhaseFlopsMatchImplModelsExactly) {
+  for (const index_t p : {1000, 4096}) {
+    const toeplitz::BlockToeplitz t = toeplitz::ar1_block(4, p, 1);
+    std::vector<double> b(static_cast<std::size_t>(t.order()));
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = std::sin(0.7 * static_cast<double>(i));
+    util::Tracer::reset();
+    util::Tracer::enable();
+    const toeplitz::MatVec op(t, toeplitz::MatVecMode::Fft);
+    const CirculantPreconditioner pre(t);
+    const PcgResult res = pcg_solve(op, pre, b);
+    util::Tracer::disable();
+    ASSERT_TRUE(res.converged) << p;
+
+    std::map<std::string, double> measured;
+    for (const util::PhaseStats& ph : util::Tracer::snapshot()) {
+      measured[ph.name] = static_cast<double>(ph.flops);
+    }
+    util::Tracer::reset();
+    const std::vector<util::PhaseModel> models = pcg_phase_models(4, p, res.iterations);
+    ASSERT_EQ(models.size(), 3u);
+    for (const util::PhaseModel& model : models) {
+      ASSERT_GT(model.model_flops, 0.0) << model.phase;
+      EXPECT_EQ(measured[model.phase], model.model_flops) << model.phase << " at p = " << p;
+    }
   }
 }
 

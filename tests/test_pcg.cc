@@ -3,9 +3,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -49,19 +52,24 @@ la::Mat dense_strang(const BlockToeplitz& t) {
 }
 
 TEST(CirculantPreconditioner, InverseMatchesDenseStrang) {
-  // M * (M^{-1} r) == r with M rebuilt densely and independently.
-  const BlockToeplitz t = toeplitz::random_spd_block(3, 11, 2, 5);
-  const CirculantPreconditioner pre(t);
-  ASSERT_TRUE(pre.positive_definite());
-  const la::Mat md = dense_strang(t);
-  const la::index_t n = t.order();
-  std::vector<double> r(static_cast<std::size_t>(n)), z;
-  for (la::index_t i = 0; i < n; ++i) r[static_cast<std::size_t>(i)] = std::sin(1.0 + i);
-  pre.apply_inverse(r, z);
-  for (la::index_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (la::index_t j = 0; j < n; ++j) s += md(i, j) * z[static_cast<std::size_t>(j)];
-    EXPECT_NEAR(s, r[static_cast<std::size_t>(i)], 1e-9);
+  // M * (M^{-1} r) == r with M rebuilt densely and independently, at odd,
+  // even and power-of-two p: the Hermitian half (frequencies 0 .. p/2)
+  // must stand for every frequency.
+  for (const auto& [m, p, seed] : {std::tuple{3, 11, 5u}, std::tuple{2, 10, 110u},
+                                   std::tuple{2, 16, 116u}}) {
+    const BlockToeplitz t = toeplitz::random_spd_block(m, p, 2, seed);
+    const CirculantPreconditioner pre(t);
+    ASSERT_TRUE(pre.positive_definite()) << p;
+    const la::Mat md = dense_strang(t);
+    const la::index_t n = t.order();
+    std::vector<double> r(static_cast<std::size_t>(n)), z;
+    for (la::index_t i = 0; i < n; ++i) r[static_cast<std::size_t>(i)] = std::sin(1.0 + i);
+    pre.apply_inverse(r, z);
+    for (la::index_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (la::index_t j = 0; j < n; ++j) s += md(i, j) * z[static_cast<std::size_t>(j)];
+      EXPECT_NEAR(s, r[static_cast<std::size_t>(i)], 1e-9) << "p = " << p << ", i = " << i;
+    }
   }
 }
 
@@ -83,6 +91,20 @@ TEST(CirculantPreconditioner, IndefiniteMatrixDetected) {
   const CirculantPreconditioner pre(t);
   EXPECT_FALSE(pre.positive_definite());
   EXPECT_EQ(circulant_condest(t, pre), std::numeric_limits<double>::infinity());
+}
+
+TEST(CirculantPreconditioner, ApplyInverseRejectsNonSpdAndWrongLength) {
+  const BlockToeplitz bad = toeplitz::singular_minor_family(64, 9);
+  const CirculantPreconditioner indefinite(bad);
+  ASSERT_FALSE(indefinite.positive_definite());
+  std::vector<double> r(64, 1.0), z;
+  EXPECT_THROW(indefinite.apply_inverse(r, z), std::invalid_argument);
+
+  const BlockToeplitz t = toeplitz::kms(32, 0.5);
+  const CirculantPreconditioner pre(t);
+  ASSERT_TRUE(pre.positive_definite());
+  EXPECT_THROW(pre.apply_inverse(std::vector<double>(31, 1.0), z), std::invalid_argument);
+  EXPECT_NO_THROW(pre.apply_inverse(std::vector<double>(32, 1.0), z));
 }
 
 TEST(Pcg, ConvergesFastOnKms) {
@@ -145,6 +167,86 @@ TEST(Pcg, NonConvergenceRaisesWatchdogWarning) {
   }
   util::Watchdog::reset();
   EXPECT_TRUE(found);
+}
+
+TEST(Pcg, RejectsMismatchedLengths) {
+  const BlockToeplitz t = toeplitz::kms(32, 0.3);
+  const MatVec op(t, MatVecMode::Fft);
+  const CirculantPreconditioner pre(t);
+  EXPECT_THROW(pcg_solve(op, pre, std::vector<double>(31, 1.0)), std::invalid_argument);
+  const CirculantPreconditioner other(toeplitz::kms(16, 0.3));
+  EXPECT_THROW(pcg_solve(op, other, std::vector<double>(32, 1.0)), std::invalid_argument);
+}
+
+// The Strang-preconditioned AR(1) systems of the pcg_superfast benchmark
+// workload converge in 9 iterations at both a Bluestein (p = 1000) and a
+// power-of-two (p = 4096) preconditioner length.
+TEST(Pcg, Ar1IterationCountsArePinned) {
+  for (const la::index_t p : {1000, 4096}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const BlockToeplitz t = toeplitz::ar1_block(4, p, seed);
+      const MatVec op(t, MatVecMode::Fft);
+      std::vector<double> b;
+      op.apply(std::vector<double>(static_cast<std::size_t>(t.order()), 1.0), b);
+      const CirculantPreconditioner pre(t);
+      ASSERT_TRUE(pre.positive_definite());
+      const PcgResult res = pcg_solve(op, pre, b);
+      EXPECT_TRUE(res.converged) << "p = " << p << ", seed = " << seed;
+      EXPECT_EQ(res.iterations, 9) << "p = " << p << ", seed = " << seed;
+    }
+  }
+}
+
+// One const multiplier and one const preconditioner shared by 4 threads,
+// which meanwhile build a multiplier and a preconditioner (a Bluestein plan
+// of prime length 1493) that nothing else builds: every product must equal
+// the single-thread one bit for bit.
+TEST(SharedPlans, ConcurrentBuildsAndAppliesAreBitwiseStable) {
+  const BlockToeplitz t = toeplitz::random_spd_block(3, 389, 2, 77);
+  const BlockToeplitz fresh = toeplitz::random_spd_block(2, 1493, 2, 78);
+  const toeplitz::BlockCirculantMultiplier mul(t);
+  const CirculantPreconditioner pre(t);
+  ASSERT_TRUE(pre.positive_definite());
+  auto signal = [](std::size_t n) {
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = std::sin(0.1 + 0.37 * static_cast<double>(i));
+    return v;
+  };
+  const std::vector<double> x = signal(static_cast<std::size_t>(t.order()));
+  const std::vector<double> xf = signal(static_cast<std::size_t>(fresh.order()));
+  std::vector<double> y_ref, z_ref, fy_ref, fz_ref;
+  mul.apply(x, y_ref);
+  pre.apply_inverse(x, z_ref);
+  toeplitz::BlockCirculantMultiplier(fresh).apply(xf, fy_ref);
+  const CirculantPreconditioner fresh_pre(fresh);
+  ASSERT_TRUE(fresh_pre.positive_definite());
+  fresh_pre.apply_inverse(xf, fz_ref);
+
+  constexpr int kThreads = 4, kRounds = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int w = 0; w < kThreads; ++w) {
+    pool.emplace_back([&, w] {
+      auto differs = [](const std::vector<double>& a, const std::vector<double>& b) {
+        return a.size() != b.size() ||
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0;
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        const toeplitz::BlockCirculantMultiplier built(fresh);
+        const CirculantPreconditioner built_pre(fresh);
+        std::vector<double> y, z, fy, fz;
+        mul.apply(x, y);
+        pre.apply_inverse(x, z);
+        built.apply(xf, fy);
+        built_pre.apply_inverse(xf, fz);
+        mismatches[static_cast<std::size_t>(w)] += int{differs(y, y_ref)} + int{differs(z, z_ref)} +
+                                                   int{differs(fy, fy_ref)} +
+                                                   int{differs(fz, fz_ref)};
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (int w = 0; w < kThreads; ++w) EXPECT_EQ(mismatches[static_cast<std::size_t>(w)], 0) << w;
 }
 
 TEST(Pcg, CondestTracksConditioning) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "la/blas.h"
 #include "la/cholesky.h"
@@ -112,6 +113,27 @@ TEST(MatVec, DirectMatchesDense) {
   la::gemv(false, 1.0, d.view(), x.data(), 0.0, expect.data());
   for (la::index_t i = 0; i < n; ++i)
     EXPECT_NEAR(y[static_cast<std::size_t>(i)], expect[static_cast<std::size_t>(i)], 1e-12);
+}
+
+// Mismatched operands are typed errors in every build type, in both modes
+// (an assert let a Release build read past the input).
+TEST(MatVec, RejectsMismatchedLengths) {
+  const BlockToeplitz t = random_spd_block(2, 6, 2, 41);
+  for (const MatVecMode mode : {MatVecMode::Direct, MatVecMode::Fft}) {
+    const MatVec op(t, mode);
+    const std::vector<double> good(12, 1.0), bad(11, 1.0);
+    std::vector<double> y;
+    EXPECT_THROW(op.apply(bad, y), std::invalid_argument);
+    EXPECT_THROW(op.residual(bad, good, y), std::invalid_argument);
+    EXPECT_THROW(op.residual(good, bad, y), std::invalid_argument);
+    la::Mat x2(12, 2), y2(12, 2), y3(12, 3), short2(11, 2);
+    EXPECT_THROW(op.apply(x2.view(), y3.view()), std::invalid_argument);
+    EXPECT_THROW(op.apply(short2.view(), y2.view()), std::invalid_argument);
+    EXPECT_THROW(op.residual(short2.view(), x2.view(), y2.view()), std::invalid_argument);
+    EXPECT_THROW(op.residual(x2.view(), x2.view(), y3.view()), std::invalid_argument);
+    EXPECT_NO_THROW(op.residual(good, good, y));
+    EXPECT_NO_THROW(op.residual(x2.view(), x2.view(), y2.view()));
+  }
 }
 
 // Direct MatVec against a long-double dense product T x, one column and a
