@@ -24,6 +24,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -138,10 +140,17 @@ class Obs {
     return path + default_name;
   }
 
-  /// Writes the report to json_path(default_name) unless suppressed.
+  /// Writes the report to json_path(default_name) unless suppressed.  A
+  /// path that cannot be written is reported and exits 1, as bst_solve does.
   void write_default_json(const util::PerfReport& report, const std::string& default_name) const {
     const std::string path = json_path(default_name);
-    if (!path.empty()) report.write_file(path);
+    if (path.empty()) return;
+    try {
+      report.write_file(path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench: error: %s\n", e.what());
+      std::exit(1);
+    }
   }
 
  private:

@@ -52,7 +52,7 @@ void paper_example(util::PerfReport& report) {
   // unpivoted dense LDL^T cannot be used here.
   double gamma = 0.0;
   {
-    toeplitz::MatVec op(t);
+    toeplitz::MatVec op(t, toeplitz::MatVecMode::Direct);
     auto fsolve = [&](const std::vector<double>& rhs, std::vector<double>& out) {
       out = core::solve_ldl(f, rhs);
     };
@@ -68,7 +68,7 @@ void paper_example(util::PerfReport& report) {
   printf("  ||dT T^-1|| = %.4e   (paper: 2.8753e-05)\n", gamma);
 
   const std::vector<double> xtrue(6, 1.0);
-  toeplitz::MatVec op(t);
+  toeplitz::MatVec op(t, toeplitz::MatVecMode::Direct);
   std::vector<double> b;
   op.apply(xtrue, b);
 
@@ -97,7 +97,7 @@ void family_table(la::index_t n, int seeds, util::PerfReport& report) {
         toeplitz::singular_minor_family(n, static_cast<std::uint64_t>(seed));
     core::LdlFactor f = core::block_schur_indefinite(t);
     std::vector<double> b = toeplitz::rhs_for_ones(t);
-    toeplitz::MatVec op(t);
+    toeplitz::MatVec op(t, toeplitz::MatVecMode::Direct);
     core::RefineResult res = core::solve_refined(
         op,
         [&](const std::vector<double>& rhs, std::vector<double>& out) {

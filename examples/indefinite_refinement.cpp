@@ -55,7 +55,7 @@ int main() {
   // 3. Iterative refinement recovers full accuracy (paper: 3.6e-5 ->
   //    7.0e-10 -> 1.6e-14).
   const std::vector<double> xtrue(6, 1.0);
-  toeplitz::MatVec op(t);
+  toeplitz::MatVec op(t, toeplitz::MatVecMode::Direct);
   core::RefineResult res = core::solve_refined(
       op,
       [&](const std::vector<double>& rhs, std::vector<double>& out) {

@@ -44,7 +44,7 @@ int main() {
   std::vector<double> b2(b.size(), 1.0);
   std::vector<double> x2 = core::solve_spd(f, b2);
   std::vector<double> check;
-  toeplitz::MatVec(t).apply(x2, check);
+  toeplitz::MatVec(t, toeplitz::MatVecMode::Fft).apply(x2, check);
   double max_res = 0.0;
   for (std::size_t i = 0; i < b2.size(); ++i)
     max_res = std::max(max_res, std::fabs(check[i] - b2[i]));

@@ -1,8 +1,10 @@
 #include "core/generator.h"
 
 #include <cmath>
-#include <stdexcept>
+#include <utility>
 
+#include "core/indefinite.h"
+#include "core/schur.h"
 #include "la/blas.h"
 #include "la/cholesky.h"
 #include "la/ldlt.h"
@@ -52,6 +54,22 @@ Generator finish(const BlockToeplitz& t, const Mat& l, const Signature& s) {
   return g;
 }
 
+// A breakdown inside T1 is the recursion's step 0.  Its column and pivot
+// come from T1's unpivoted LDL^T: the first pivot that is not positive
+// (SPD) or that vanishes (indefinite).  Error path only.
+std::pair<index_t, double> first_failing_pivot(const BlockToeplitz& t, bool spd) {
+  const index_t m = t.block_size();
+  Mat work(m, m);
+  la::copy(t.block(1), work.view());
+  std::vector<double> d;
+  (void)la::ldlt_unpivoted(work.view(), d);  // d is zero past a vanishing pivot
+  for (index_t j = 0; j < m; ++j) {
+    const double dj = d[static_cast<std::size_t>(j)];
+    if (spd ? !(dj > 0.0) : dj == 0.0) return {j, dj};
+  }
+  return {m - 1, d.back()};
+}
+
 }  // namespace
 
 Generator make_generator_spd(const BlockToeplitz& t) {
@@ -59,8 +77,8 @@ Generator make_generator_spd(const BlockToeplitz& t) {
   Mat t1(m, m);
   la::copy(t.block(1), t1.view());
   if (!la::cholesky_lower(t1.view())) {
-    throw std::runtime_error(
-        "make_generator_spd: leading block T1 is not positive definite");
+    const auto [column, pivot] = first_failing_pivot(t, true);
+    throw NotPositiveDefinite(0, column, pivot);
   }
   for (index_t j = 0; j < m; ++j)
     for (index_t i = 0; i < j; ++i) t1(i, j) = 0.0;
@@ -74,8 +92,8 @@ Generator make_generator_indefinite(const BlockToeplitz& t) {
   Mat l;
   Signature s;
   if (!la::ldl_signature(work.view(), l, s)) {
-    throw std::runtime_error(
-        "make_generator_indefinite: T1 has a singular leading principal minor");
+    const auto [column, pivot] = first_failing_pivot(t, false);
+    throw SingularMinor(0, column, pivot);
   }
   return finish(t, l, s);
 }

@@ -45,13 +45,13 @@ struct Generator {
 };
 
 /// Builds the generator of an SPD block Toeplitz matrix (S = I).
-/// Throws std::runtime_error if the leading block T1 is not positive
-/// definite (use make_generator_indefinite then).
+/// Throws NotPositiveDefinite (step 0) if the leading block T1 is not
+/// positive definite (use make_generator_indefinite then).
 Generator make_generator_spd(const BlockToeplitz& t);
 
 /// Builds the generator with a signature decomposition T1 = L S L^T
 /// (paper eq. 11), valid whenever T1 has nonsingular leading principal
-/// minors.  Throws std::runtime_error otherwise.
+/// minors.  Throws SingularMinor (step 0) otherwise.
 Generator make_generator_indefinite(const BlockToeplitz& t);
 
 /// Test oracle: assembles Gen^T diag(sig) Gen (an n x n matrix) which must

@@ -1,5 +1,6 @@
 #include "core/solver.h"
 
+#include <sstream>
 #include <stdexcept>
 
 #include "core/solve.h"
@@ -27,6 +28,23 @@ const char* to_string(SolverKind k) {
   }
   return "?";
 }
+
+namespace {
+std::string accuracy_message(double eta, double bound, const std::string& route, int steps) {
+  std::ostringstream os;
+  os << "AccuracyNotReached: backward error " << eta << " is above the bound " << bound
+     << " (10 n eps) after " << steps << " refinement step(s) on route " << route;
+  return os.str();
+}
+}  // namespace
+
+AccuracyNotReached::AccuracyNotReached(double backward_error_, double bound_, std::string route_,
+                                       int steps_)
+    : std::runtime_error(accuracy_message(backward_error_, bound_, route_, steps_)),
+      backward_error(backward_error_),
+      bound(bound_),
+      route(std::move(route_)),
+      steps(steps_) {}
 
 SolverKind parse_solver_kind(const std::string& s) {
   if (s == "auto") return SolverKind::Auto;
@@ -89,13 +107,18 @@ SolveReport toeplitz_solve(const toeplitz::BlockToeplitz& t, const std::vector<d
       PcgResult pr = pcg_solve(op, *dec.precond, b, opt.pcg);
       rep.pcg_iterations = pr.iterations;
       if (pr.converged) {
-        rep.x = std::move(pr.x);
-        rep.path = SolvePath::Pcg;
-        rep.solver_path = "pcg";
         std::vector<double> r;
-        op.residual(b, rep.x, r);
-        rep.final_residual = la::norm2(r);
-        return rep;
+        op.residual(b, pr.x, r);
+        const double eta = op.backward_error(b, pr.x, r);
+        // An answer above the bound takes the fallback below.
+        if (eta <= backward_error_bound(t.order())) {
+          rep.x = std::move(pr.x);
+          rep.path = SolvePath::Pcg;
+          rep.solver_path = "pcg";
+          rep.final_residual = la::norm2(r);
+          rep.backward_error = eta;
+          return rep;
+        }
       }
     } else {
       // Forced PCG on a matrix whose Strang circulant is not SPD: there is
@@ -144,16 +167,19 @@ SolveReport toeplitz_solve(const toeplitz::BlockToeplitz& t, const std::vector<d
   }
   // After a PCG failure the matrix is large by construction (the policy
   // only sends large systems to PCG), so the fallback keeps the O(n log n)
-  // residuals regardless of the configured mode.
-  toeplitz::MatVec op(t, pcg_failed ? toeplitz::MatVecMode::Fft : opt.residual_mode);
+  // residuals regardless of the configured mode.  The one operator serves
+  // every residual of the loop, whose last is the answer's.
+  const toeplitz::MatVec op(t, pcg_failed ? toeplitz::MatVecMode::Fft : opt.residual_mode);
   RefineResult rr = solve_refined(op, fsolve, b, opt.refine);
+  if (!rr.converged) {
+    throw AccuracyNotReached(rr.backward_error, backward_error_bound(t.order()), rep.solver_path,
+                             rr.iterations);
+  }
   rep.x = std::move(rr.x);
   rep.refined = true;
   rep.refinement_steps = rr.iterations;
-  rep.converged = rr.converged;
-  std::vector<double> r;
-  op.residual(b, rep.x, r);
-  rep.final_residual = la::norm2(r);
+  rep.final_residual = rr.residual_norms.back();
+  rep.backward_error = rr.backward_error;
   return rep;
 }
 

@@ -11,20 +11,31 @@
 // The crossover policy (SolverPolicy / choose_solver) picks between them
 // from the order, a positive-definiteness probe of the Strang circulant,
 // and a cheap 1-norm condition estimate; BST_SOLVER / the --solver flag
-// force a path.  A forced-or-chosen PCG run that fails to converge falls
-// back to Schur with mandatory refinement ("pcg+fallback"), so the answer
-// is always as good as the Schur path's.
+// force a path.  A forced-or-chosen PCG run that fails to converge, or
+// whose answer's backward error exceeds the bound, falls back to Schur
+// with mandatory refinement ("pcg+fallback").
 //
 // Schur dispatch (unchanged from the original policy):
 //   1. try the SPD block Schur factorization (cheapest, T = R^T R);
-//   2. on breakdown, fall back to the indefinite extension
-//      (signature pivoting + singular-minor perturbation);
+//   2. on breakdown (NotPositiveDefinite, also at step 0 when the leading
+//      m_s x m_s block is not positive definite), fall back to the
+//      indefinite extension (signature pivoting + singular-minor
+//      perturbation);
 //   3. if any perturbation was applied -- or if requested -- polish the
 //      solution with iterative refinement against the exact operator.
+//
+// Certificate: the refine and PCG routes return only answers whose normwise
+// backward error eta = ||b - Tx||_inf / (||T||_inf ||x||_inf + ||b||_inf)
+// is within backward_error_bound(n) = 10 n eps (SolveReport::backward_error).
+// One FFT operator per solve computes every residual and eta.  A refine
+// route that ends above the bound raises AccuracyNotReached instead of
+// returning the answer.  The plain Schur route is not certified
+// (backward_error = -1).
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,7 +99,9 @@ struct SolveOptions {
   bool always_refine = false;
   /// Skip the SPD attempt (go straight to the indefinite driver).
   bool assume_indefinite = false;
-  toeplitz::MatVecMode residual_mode = toeplitz::MatVecMode::Direct;
+  /// Operator of the refinement residuals and the certificate.  Direct is
+  /// the O(n^2) reference; after a PCG fallback the residuals use Fft.
+  toeplitz::MatVecMode residual_mode = toeplitz::MatVecMode::Fft;
 };
 
 /// Which path produced the answer.
@@ -109,15 +122,31 @@ struct SolveReport {
   int refinement_steps = 0;
   bool refined = false;
   bool converged = true;          // refinement/PCG convergence (true if not run)
-  double final_residual = -1.0;   // ||b - T x||, -1 when neither PCG nor refinement ran
+  double final_residual = -1.0;   // ||b - T x||_2, -1 when neither PCG nor refinement ran
+  /// eta = ||b - Tx||_inf / (||T||_inf ||x||_inf + ||b||_inf), at most
+  /// backward_error_bound(n) on the refine and PCG routes; -1 on the plain
+  /// Schur route, which computes no residual.
+  double backward_error = -1.0;
   int interchanges = 0;
   std::size_t perturbations = 0;
   std::uint64_t factor_flops = 0;
 };
 
+/// A refine route whose answer is not certified: its backward error is
+/// above backward_error_bound(n) after the refinement steps it took.
+class AccuracyNotReached : public std::runtime_error {
+ public:
+  AccuracyNotReached(double backward_error, double bound, std::string route, int steps);
+  double backward_error;  // eta of the rejected answer
+  double bound;           // backward_error_bound(n)
+  std::string route;      // "schur+refine" or "pcg+fallback"
+  int steps;              // refinement steps taken
+};
+
 /// Solves T x = b, choosing the solver family and factorization
 /// automatically.  Throws SingularMinor only if even the perturbed Schur
-/// path cannot proceed.
+/// path cannot proceed, and AccuracyNotReached when refinement cannot
+/// bring the answer's backward error within the bound.
 SolveReport toeplitz_solve(const toeplitz::BlockToeplitz& t, const std::vector<double>& b,
                            const SolveOptions& opt = {});
 

@@ -143,7 +143,7 @@ BlockToeplitz ar1_block(la::index_t m, la::index_t p, std::uint64_t seed, double
 std::vector<double> rhs_for_ones(const BlockToeplitz& t) {
   const std::vector<double> ones(static_cast<std::size_t>(t.order()), 1.0);
   std::vector<double> b;
-  MatVec(t).apply(ones, b);
+  MatVec(t, MatVecMode::Direct).apply(ones, b);  // the reference product
   return b;
 }
 

@@ -1,5 +1,8 @@
 #include "toeplitz/matvec.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -26,9 +29,48 @@ void check_views(const char* what, la::index_t rows, la::index_t cols, la::index
                                 std::to_string(order) + " x " + std::to_string(want_cols));
   }
 }
+// Block row I (0-based) of T holds T_{J-I+1} for J >= I and T_{I-J+1}^T
+// for J < I, so row a of it sums |T_k(a, :)| over k = 1 .. p - I plus
+// |T_k(:, a)| over k = 2 .. I + 1.  One pass over the blocks and prefix
+// sums over k make each of the n row sums O(1): O(p m^2) in all.
+double toeplitz_norm_inf(const BlockToeplitz& t) {
+  const la::index_t m = t.block_size(), p = t.num_blocks();
+  // up[k m + a]: row a of T_1 .. T_k;  lo[k m + a]: column a of T_2 .. T_k.
+  std::vector<double> up(static_cast<std::size_t>((p + 1) * m), 0.0);
+  std::vector<double> lo(up.size(), 0.0);
+  for (la::index_t k = 1; k <= p; ++k) {
+    const la::CView blk = t.block(k);
+    double* upk = up.data() + k * m;
+    double* lok = lo.data() + k * m;
+    for (la::index_t c = 0; c < m; ++c) {
+      double col = 0.0;
+      for (la::index_t a = 0; a < m; ++a) {
+        const double v = std::fabs(blk(a, c));
+        upk[a] += v;
+        col += v;
+      }
+      if (k >= 2) lok[c] = col;
+    }
+  }
+  const auto stride = static_cast<std::size_t>(m);
+  for (std::size_t i = stride; i < up.size(); ++i) {
+    up[i] += up[i - stride];
+    lo[i] += lo[i - stride];
+  }
+  double best = 0.0;
+  for (la::index_t i = 0; i < p; ++i) {
+    for (la::index_t a = 0; a < m; ++a) {
+      const double s = up[static_cast<std::size_t>((p - i) * m + a)] +
+                       lo[static_cast<std::size_t>((i + 1) * m + a)];
+      if (!(s <= best)) best = s;  // NaN propagates
+    }
+  }
+  return best;
+}
 }  // namespace
 
-MatVec::MatVec(const BlockToeplitz& t, MatVecMode mode) : t_(t), mode_(mode) {
+MatVec::MatVec(const BlockToeplitz& t, MatVecMode mode)
+    : t_(t), mode_(mode), norm_inf_(toeplitz_norm_inf(t)) {
   if (mode_ == MatVecMode::Fft) {
     fftmul_ = std::make_shared<const BlockCirculantMultiplier>(t_);
   }
@@ -82,6 +124,25 @@ void MatVec::residual(const std::vector<double>& b, const std::vector<double>& x
   check_length("b", b.size(), t_.order());
   apply(x, r);
   for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+}
+
+double MatVec::backward_error(const std::vector<double>& b, const std::vector<double>& x,
+                              const std::vector<double>& r) const {
+  check_length("b", b.size(), t_.order());
+  check_length("x", x.size(), t_.order());
+  check_length("r", r.size(), t_.order());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double nr = 0.0, nx = 0.0, nb = 0.0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (!std::isfinite(r[i]) || !std::isfinite(x[i])) return kInf;
+    nr = std::max(nr, std::fabs(r[i]));
+    nx = std::max(nx, std::fabs(x[i]));
+    nb = std::max(nb, std::fabs(b[i]));
+  }
+  const double denom = norm_inf_ * nx + nb;
+  if (!std::isfinite(denom)) return kInf;
+  if (denom > 0.0) return nr / denom;
+  return nr == 0.0 ? 0.0 : kInf;
 }
 
 void MatVec::residual(la::CView b, la::CView x, la::View r) const {

@@ -68,4 +68,10 @@ double Cli::get_double(const std::string& key, double fallback) const {
 
 bool Cli::has(const std::string& key) const { return kv_.contains(key); }
 
+std::vector<std::string> Cli::keys() const {
+  std::vector<std::string> out;
+  for (const auto& kv : kv_) out.push_back(kv.first);
+  return out;
+}
+
 }  // namespace bst::util

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace bst::util {
 
@@ -30,6 +31,9 @@ class Cli {
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;
+  /// Every --key given, in sorted order (for tools that reject flags they
+  /// do not read).
+  [[nodiscard]] std::vector<std::string> keys() const;
 
  private:
   std::map<std::string, std::string> kv_;

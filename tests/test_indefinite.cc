@@ -221,7 +221,7 @@ TEST(Indefinite, BlockPathSingularMinorPerturbsAndRefines) {
   EXPECT_GT(f.max_reflector_norm, 1e2);
   // Refinement restores full accuracy.
   std::vector<double> b = toeplitz::rhs_for_ones(t);
-  toeplitz::MatVec op(t);
+  toeplitz::MatVec op(t, toeplitz::MatVecMode::Fft);
   auto res = solve_refined(
       op,
       [&](const std::vector<double>& rhs, std::vector<double>& out) {
@@ -244,7 +244,7 @@ TEST(Indefinite, ScalarAndBlockedPerturbationAgree) {
   EXPECT_GE(f1.perturbations.size(), 1u);
   EXPECT_GE(f2.perturbations.size(), 1u);
   std::vector<double> b = toeplitz::rhs_for_ones(t1);
-  toeplitz::MatVec op(t1);
+  toeplitz::MatVec op(t1, toeplitz::MatVecMode::Fft);
   auto solve_with = [&](const LdlFactor& f) {
     return solve_refined(
                op,

@@ -35,7 +35,7 @@ TEST_P(MixedPrecisionSweep, FloatFactorRefinesToDoubleAccuracy) {
   demote_factor_to_float(f.r.view());
 
   std::vector<double> b = toeplitz::rhs_for_ones(t);
-  MatVec op(t);
+  MatVec op(t, toeplitz::MatVecMode::Fft);
   // Plain float-factor solve: single-precision-level error.
   std::vector<double> x0 = solve_spd(f, b);
   double e0 = 0.0;

@@ -136,7 +136,7 @@ TEST(Properties, RefinementNeverWorsensResidual) {
   BlockToeplitz t = toeplitz::singular_minor_family(48, 21);
   LdlFactor f = block_schur_indefinite(t);
   std::vector<double> b = toeplitz::rhs_for_ones(t);
-  toeplitz::MatVec op(t);
+  toeplitz::MatVec op(t, toeplitz::MatVecMode::Fft);
   std::vector<double> x = solve_ldl(f, b);
   std::vector<double> r;
   op.residual(b, x, r);

@@ -2,6 +2,7 @@
 // with its published error trajectory, plus random singular-minor families.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 
 #include "core/indefinite.h"
@@ -39,7 +40,7 @@ TEST(Refine, PaperExampleErrorTrajectory) {
 
   const std::vector<double> xtrue(6, 1.0);
   std::vector<double> b;
-  MatVec op(t);
+  MatVec op(t, toeplitz::MatVecMode::Direct);
   op.apply(xtrue, b);
   // Check the paper's printed right-hand side (eq. after (50)).
   EXPECT_NEAR(b[0], 3.5919, 1e-12);
@@ -67,7 +68,7 @@ TEST(Refine, ConvergesForSingularMinorFamilies) {
     BlockToeplitz t = toeplitz::singular_minor_family(32, seed);
     LdlFactor f = block_schur_indefinite(t);
     std::vector<double> b = toeplitz::rhs_for_ones(t);
-    MatVec op(t);
+    MatVec op(t, toeplitz::MatVecMode::Fft);
     RefineResult res = solve_refined(
         op, [&](const std::vector<double>& rhs, std::vector<double>& out) {
           out = solve_ldl(f, rhs);
@@ -84,7 +85,7 @@ TEST(Refine, NoRefinementNeededForWellConditionedSpd) {
   BlockToeplitz t = toeplitz::kms(16, 0.3);
   SchurFactor f = block_schur_factor(t);
   std::vector<double> b = toeplitz::rhs_for_ones(t);
-  MatVec op(t);
+  MatVec op(t, toeplitz::MatVecMode::Fft);
   RefineResult res = solve_refined(
       op, [&](const std::vector<double>& rhs, std::vector<double>& out) {
         out = solve_spd(f, rhs);
@@ -144,9 +145,8 @@ TEST(Refine, RespectsMaxIterations) {
   RefineOptions opt;
   opt.max_iters = 0;
   RefineResult res = solve_refined(
-      MatVec(t), [&](const std::vector<double>& rhs, std::vector<double>& out) {
-        out = solve_ldl(f, rhs);
-      },
+      MatVec(t, toeplitz::MatVecMode::Fft),
+      [&](const std::vector<double>& rhs, std::vector<double>& out) { out = solve_ldl(f, rhs); },
       b, opt);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 0);
@@ -157,14 +157,68 @@ TEST(Refine, HistoriesAreRecorded) {
   LdlFactor f = block_schur_indefinite(t);
   std::vector<double> b = toeplitz::rhs_for_ones(t);
   RefineResult res = solve_refined(
-      MatVec(t), [&](const std::vector<double>& rhs, std::vector<double>& out) {
-        out = solve_ldl(f, rhs);
-      },
+      MatVec(t, toeplitz::MatVecMode::Fft),
+      [&](const std::vector<double>& rhs, std::vector<double>& out) { out = solve_ldl(f, rhs); },
       b);
   EXPECT_EQ(res.residual_norms.size(), static_cast<std::size_t>(res.iterations) + 1);
   EXPECT_GE(res.correction_norms.size(), static_cast<std::size_t>(res.iterations));
 }
 
+
+// The stop rule, from the solver's side: every call of the factor solve
+// after the first solves for the residual of the current iterate, which
+// the test rebuilds from the outputs it saw; no call may come once that
+// iterate's backward error is at roundoff (eta <= eps).
+TEST(Refine, NoSolveAfterBackwardErrorReachesRoundoff) {
+  for (std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    BlockToeplitz t = toeplitz::singular_minor_family(128, seed);
+    LdlFactor f = block_schur_indefinite(t);
+    std::vector<double> b = toeplitz::rhs_for_ones(t);
+    const MatVec op(t, toeplitz::MatVecMode::Fft);
+    int calls = 0;
+    std::vector<double> x;  // the iterate whose residual the next call solves
+    const FactorSolve counting = [&](const std::vector<double>& rhs, std::vector<double>& out) {
+      if (calls > 0) {
+        EXPECT_GT(op.backward_error(b, x, rhs), DBL_EPSILON)
+            << "seed " << seed << " call " << calls;
+      }
+      out = solve_ldl(f, rhs);
+      if (calls == 0) {
+        x = out;
+      } else {
+        for (std::size_t i = 0; i < x.size(); ++i) x[i] += out[i];
+      }
+      ++calls;
+    };
+    RefineResult res = solve_refined(op, counting, b);
+    EXPECT_TRUE(res.converged) << "seed " << seed;
+    EXPECT_LE(res.backward_error, DBL_EPSILON) << "seed " << seed;
+    EXPECT_EQ(calls, res.iterations + 1) << "seed " << seed;
+    EXPECT_EQ(res.correction_norms.size(), static_cast<std::size_t>(res.iterations));
+  }
+}
+
+// Above the bound neither the 0.5-contraction exit nor the tol exit may
+// stop the loop: seed 1248 contracts by ~0.8 per step, which a contraction
+// exit would read as roundoff stagnation after one step.  It refines to the
+// cap and reports what it reached.
+TEST(Refine, SlowContractionAboveTheBoundRefinesToTheCap) {
+  const la::index_t n = 1024;
+  BlockToeplitz t = toeplitz::singular_minor_family(n, 1248);
+  LdlFactor f = block_schur_indefinite(t);
+  std::vector<double> b(static_cast<std::size_t>(n));
+  for (la::index_t i = 0; i < n; ++i) {
+    b[static_cast<std::size_t>(i)] = std::sin(0.7 * static_cast<double>(i) + 0.013 * 1248);
+  }
+  RefineResult res = solve_refined(
+      MatVec(t, toeplitz::MatVecMode::Fft),
+      [&](const std::vector<double>& rhs, std::vector<double>& out) { out = solve_ldl(f, rhs); },
+      b);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, RefineOptions{}.max_iters);
+  EXPECT_GT(res.backward_error, backward_error_bound(n));
+  EXPECT_EQ(res.residual_norms.size(), static_cast<std::size_t>(res.iterations) + 1);
+}
 
 TEST(Refine, ImprovesIllConditionedForwardError) {
   // The prolate matrix at this size has cond ~ 1e10; one or two refinement
@@ -172,7 +226,7 @@ TEST(Refine, ImprovesIllConditionedForwardError) {
   toeplitz::BlockToeplitz t = toeplitz::prolate(48, 0.38);
   SchurFactor f = block_schur_factor(t);
   std::vector<double> b = toeplitz::rhs_for_ones(t);
-  MatVec op(t);
+  MatVec op(t, toeplitz::MatVecMode::Fft);
   std::vector<double> x0 = solve_spd(f, b);
   std::vector<double> r0;
   op.residual(b, x0, r0);

@@ -144,7 +144,7 @@ TEST(Schur, SolveGivesAccurateSolution) {
   std::vector<double> xtrue(static_cast<std::size_t>(n));
   for (auto& v : xtrue) v = rng.uniform(-1, 1);
   std::vector<double> b;
-  toeplitz::MatVec(t).apply(xtrue, b);
+  toeplitz::MatVec(t, toeplitz::MatVecMode::Direct).apply(xtrue, b);
   SchurFactor f = block_schur_factor(t);
   std::vector<double> x = solve_spd(f, b);
   for (index_t i = 0; i < n; ++i)

@@ -1,7 +1,10 @@
 // Tests for the one-call solver facade and the block Levinson baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -36,6 +39,7 @@ TEST(ToeplitzSolve, SpdTakesSpdPath) {
   EXPECT_FALSE(rep.refined);
   EXPECT_LT(max_err_vs_ones(rep.x), 1e-10);
   EXPECT_GT(rep.factor_flops, 0u);
+  EXPECT_EQ(rep.backward_error, -1.0);  // the plain route is not certified
 }
 
 TEST(ToeplitzSolve, IndefiniteFallsBack) {
@@ -175,6 +179,7 @@ TEST(ToeplitzSolve, PcgPathSolvesLargeWellConditioned) {
   EXPECT_GT(rep.pcg_iterations, 0);
   EXPECT_TRUE(rep.converged);
   EXPECT_GE(rep.final_residual, 0.0);
+  EXPECT_LE(rep.backward_error, core::backward_error_bound(t.order()));
   EXPECT_LT(max_err_vs_ones(rep.x), 1e-9);
 }
 
@@ -232,6 +237,206 @@ TEST(ToeplitzSolve, ReflectorNormTracking) {
   core::LdlFactor g = core::block_schur_indefinite(toeplitz::kms(16, 0.5));
   EXPECT_EQ(g.large_reflectors, 0);
   EXPECT_LT(g.max_reflector_norm, 1e3);
+}
+
+// ---- certified answers --------------------------------------------------
+
+std::vector<double> sin_rhs(la::index_t n, std::uint64_t seed) {
+  std::vector<double> b(static_cast<std::size_t>(n));
+  for (la::index_t i = 0; i < n; ++i) {
+    b[static_cast<std::size_t>(i)] =
+        std::sin(0.7 * static_cast<double>(i) + 0.013 * static_cast<double>(seed));
+  }
+  return b;
+}
+
+// eta of x against the O(n^2) reference operator, independent of the FFT
+// operator that certified it.
+double reference_backward_error(const BlockToeplitz& t, const std::vector<double>& b,
+                                const std::vector<double>& x) {
+  const toeplitz::MatVec op(t, toeplitz::MatVecMode::Direct);
+  std::vector<double> r;
+  op.residual(b, x, r);
+  return op.backward_error(b, x, r);
+}
+
+// eta evaluated in long double from the dense matrix.
+long double dense_backward_error(const BlockToeplitz& t, const std::vector<double>& b,
+                                 const std::vector<double>& x) {
+  const la::Mat d = t.dense();
+  const la::index_t n = t.order();
+  long double nt = 0, nr = 0, nx = 0, nb = 0;
+  for (la::index_t i = 0; i < n; ++i) {
+    long double row = 0, ri = b[static_cast<std::size_t>(i)];
+    for (la::index_t j = 0; j < n; ++j) {
+      row += std::fabs(static_cast<long double>(d(i, j)));
+      ri -= static_cast<long double>(d(i, j)) * x[static_cast<std::size_t>(j)];
+    }
+    nt = std::max(nt, row);
+    nr = std::max(nr, std::fabs(ri));
+    nx = std::max(nx, std::fabs(static_cast<long double>(x[static_cast<std::size_t>(i)])));
+    nb = std::max(nb, std::fabs(static_cast<long double>(b[static_cast<std::size_t>(i)])));
+  }
+  return nr / (nt * nx + nb);
+}
+
+// Seeds 1248 and 2806 contract by ~0.8 and ~0.7 per refinement step; with
+// b_i = sin(0.7 i + 0.013 s) they need ~47 and ~23 steps to reach 10 n eps,
+// so at max_iters = 20 the solve raises instead of returning the answer.
+// A contraction exit would have stopped after one step at eta ~ 1e-8.
+TEST(Certificate, SlowSeedsRaiseAccuracyNotReached) {
+  const la::index_t n = 1024;
+  for (const std::uint64_t seed : {1248u, 2806u}) {
+    const BlockToeplitz t = toeplitz::singular_minor_family(n, seed);
+    try {
+      (void)core::toeplitz_solve(t, sin_rhs(n, seed));
+      ADD_FAILURE() << "seed " << seed << " returned an answer";
+    } catch (const core::AccuracyNotReached& e) {
+      EXPECT_GT(e.backward_error, e.bound) << "seed " << seed;
+      EXPECT_EQ(e.bound, core::backward_error_bound(n));
+      EXPECT_EQ(e.route, "schur+refine");
+      EXPECT_EQ(e.steps, core::RefineOptions{}.max_iters);
+      EXPECT_NE(std::string(e.what()).find("AccuracyNotReached"), std::string::npos);
+    }
+  }
+}
+
+// With b = T * ones the same two matrices contract from a smaller start and
+// reach the bound after 13 and 12 steps: the answers come back certified,
+// and the reference operator agrees that they are inside the bound.  (After
+// one step, seed 1248's answer was off by max|x - 1| = 1.4e-3.)
+TEST(Certificate, SlowSeedsWithOnesRhsReturnOnlyCertifiedAnswers) {
+  const la::index_t n = 1024;
+  for (const std::uint64_t seed : {1248u, 2806u}) {
+    const BlockToeplitz t = toeplitz::singular_minor_family(n, seed);
+    const std::vector<double> b = toeplitz::rhs_for_ones(t);
+    const core::SolveReport rep = core::toeplitz_solve(t, b);
+    EXPECT_EQ(rep.solver_path, "schur+refine");
+    EXPECT_TRUE(rep.converged);
+    EXPECT_GT(rep.refinement_steps, 4) << "seed " << seed;
+    EXPECT_LE(rep.backward_error, core::backward_error_bound(n)) << "seed " << seed;
+    EXPECT_LE(reference_backward_error(t, b, rep.x), core::backward_error_bound(n))
+        << "seed " << seed;
+    EXPECT_LT(max_err_vs_ones(rep.x), 1e-3) << "seed " << seed;
+  }
+}
+
+// Seeds 1 .. 3000 of the family at n = 1024: no answer comes back above the
+// bound (by the certificate and by the reference operator), none comes back
+// converged above it, and only the two slow seeds raise.  Ten shards keep
+// each ctest case near 5 s.
+class CertificateSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(CertificateSweep, NoAnswerAboveTheBound) {
+  const la::index_t n = 1024;
+  const double bound = core::backward_error_bound(n);
+  const std::set<std::uint64_t> slow = {1248, 2806};
+  const std::uint64_t first = 300 * static_cast<std::uint64_t>(GetParam()) + 1;
+  for (std::uint64_t seed = first; seed < first + 300; ++seed) {
+    const BlockToeplitz t = toeplitz::singular_minor_family(n, seed);
+    const std::vector<double> b = sin_rhs(n, seed);
+    try {
+      const core::SolveReport rep = core::toeplitz_solve(t, b);
+      EXPECT_TRUE(rep.converged) << "seed " << seed;
+      EXPECT_LE(rep.backward_error, bound) << "seed " << seed;
+      EXPECT_GE(rep.backward_error, 0.0) << "seed " << seed;
+      EXPECT_LE(reference_backward_error(t, b, rep.x), bound) << "seed " << seed;
+    } catch (const core::AccuracyNotReached& e) {
+      EXPECT_GT(e.backward_error, bound) << "seed " << seed;
+      EXPECT_TRUE(slow.contains(seed)) << "seed " << seed << ": " << e.what();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds1To3000, CertificateSweep, ::testing::Range(0, 10));
+
+// The reported eta is the true one: it matches a long-double dense
+// evaluation on every route that sets it, at roundoff and well above it.
+TEST(Certificate, BackwardErrorMatchesLongDoubleDenseEvaluation) {
+  const double tol = 8.0 * DBL_EPSILON;
+  // schur+refine
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const BlockToeplitz t = toeplitz::singular_minor_family(256, seed);
+    const std::vector<double> b = sin_rhs(256, seed);
+    const core::SolveReport rep = core::toeplitz_solve(t, b);
+    ASSERT_EQ(rep.solver_path, "schur+refine");
+    EXPECT_NEAR(rep.backward_error, static_cast<double>(dense_backward_error(t, b, rep.x)), tol)
+        << "seed " << seed;
+  }
+  // pcg
+  {
+    const BlockToeplitz t = toeplitz::kms(256, 0.5).with_block_size(2);
+    const std::vector<double> b = sin_rhs(256, 7);
+    core::SolveOptions opt;
+    opt.policy.pcg_min_n = 64;
+    const core::SolveReport rep = core::toeplitz_solve(t, b, opt);
+    ASSERT_EQ(rep.solver_path, "pcg");
+    EXPECT_NEAR(rep.backward_error, static_cast<double>(dense_backward_error(t, b, rep.x)), tol);
+  }
+  // pcg+fallback
+  {
+    const BlockToeplitz t = toeplitz::singular_minor_family(128, 9);
+    const std::vector<double> b = sin_rhs(128, 9);
+    core::SolveOptions opt;
+    opt.policy.kind = core::SolverKind::Pcg;
+    const core::SolveReport rep = core::toeplitz_solve(t, b, opt);
+    ASSERT_EQ(rep.solver_path, "pcg+fallback");
+    EXPECT_NEAR(rep.backward_error, static_cast<double>(dense_backward_error(t, b, rep.x)), tol);
+  }
+  // Well above roundoff: one unrefined solve through the perturbed factor.
+  {
+    const BlockToeplitz t = toeplitz::singular_minor_family(256, 4);
+    const std::vector<double> b = sin_rhs(256, 4);
+    const core::LdlFactor f = core::block_schur_indefinite(t);
+    core::RefineOptions ropt;
+    ropt.max_iters = 0;
+    const core::RefineResult res = core::solve_refined(
+        toeplitz::MatVec(t, toeplitz::MatVecMode::Fft),
+        [&](const std::vector<double>& rhs, std::vector<double>& out) {
+          out = core::solve_ldl(f, rhs);
+        },
+        b, ropt);
+    const auto exact = static_cast<double>(dense_backward_error(t, b, res.x));
+    EXPECT_GT(exact, 1e3 * DBL_EPSILON);
+    EXPECT_NEAR(res.backward_error, exact, 1e-6 * exact);
+    EXPECT_EQ(res.converged, res.backward_error <= core::backward_error_bound(256));
+  }
+}
+
+// m_s > m: a breakdown inside the leading m_s x m_s block is a typed
+// NotPositiveDefinite at step 0, so the solve falls back to the indefinite
+// driver.
+TEST(ToeplitzSolve, LeadingBlockBreakdownAtMsAboveMFallsBack) {
+  const BlockToeplitz t = toeplitz::random_indefinite(256, 1, 1.2);
+  core::SchurOptions sopt;
+  sopt.block_size = 16;
+  try {
+    (void)core::block_schur_factor(t, sopt);
+    ADD_FAILURE() << "no breakdown";
+  } catch (const core::NotPositiveDefinite& e) {
+    EXPECT_EQ(e.step, 0);
+  }
+  core::SolveOptions opt;
+  opt.spd.block_size = opt.indefinite.block_size = 16;
+  const std::vector<double> b = toeplitz::rhs_for_ones(t);
+  const core::SolveReport rep = core::toeplitz_solve(t, b, opt);
+  EXPECT_EQ(rep.path, SolvePath::Indefinite);
+  EXPECT_LT(max_err_vs_ones(rep.x), 1e-8);
+}
+
+// ... and a singular minor inside it is a typed SingularMinor at step 0.
+TEST(ToeplitzSolve, SingularMinorInLeadingBlockIsTyped) {
+  core::SolveOptions opt;
+  opt.spd.block_size = opt.indefinite.block_size = 16;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const BlockToeplitz t = toeplitz::singular_minor_family(1024, seed);
+    try {
+      (void)core::toeplitz_solve(t, toeplitz::rhs_for_ones(t), opt);
+      ADD_FAILURE() << "seed " << seed << " solved";
+    } catch (const core::SingularMinor& e) {
+      EXPECT_EQ(e.step, 0) << "seed " << seed;
+    }
+  }
 }
 
 // ---- block Levinson baseline ------------------------------------------

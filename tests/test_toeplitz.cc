@@ -216,8 +216,45 @@ TEST(MatVec, ResidualOfExactSolutionIsZero) {
   std::vector<double> b = rhs_for_ones(t);
   const std::vector<double> ones(10, 1.0);
   std::vector<double> r;
-  MatVec(t).residual(b, ones, r);
+  MatVec(t, MatVecMode::Fft).residual(b, ones, r);
   for (double v : r) EXPECT_NEAR(v, 0.0, 1e-13);
+}
+
+// ||T||_inf from the first block row in O(p m^2) equals the dense row-sum
+// maximum, on symmetric and nonsymmetric off-diagonal blocks alike.
+TEST(MatVec, NormInfMatchesDense) {
+  for (const la::index_t m : {1, 2, 4, 16}) {
+    for (const std::uint64_t seed : {3u, 8u}) {
+      const BlockToeplitz t = random_spd_block(m, 9, 3, seed + static_cast<std::uint64_t>(m));
+      const double dense = la::norm_inf(t.dense().view());
+      for (const MatVecMode mode : {MatVecMode::Direct, MatVecMode::Fft}) {
+        EXPECT_NEAR(MatVec(t, mode).norm_inf(), dense, 1e-14 * dense) << "m = " << m;
+      }
+    }
+  }
+  const BlockToeplitz s = singular_minor_family(40, 5);
+  EXPECT_NEAR(MatVec(s, MatVecMode::Fft).norm_inf(), la::norm_inf(s.dense().view()),
+              1e-14 * la::norm_inf(s.dense().view()));
+}
+
+TEST(MatVec, BackwardErrorIsTheNormwiseRatio) {
+  const BlockToeplitz t = kms(8, 0.5);
+  const MatVec op(t, MatVecMode::Fft);
+  const std::vector<double> x = {1, -2, 3, 0, 0, 0, 0.5, 0};
+  const std::vector<double> b = {4, 0, 0, 0, 0, 0, 0, -1};
+  const std::vector<double> r = {0, 1e-10, 0, -3e-10, 0, 0, 0, 0};
+  EXPECT_DOUBLE_EQ(op.backward_error(b, x, r), 3e-10 / (op.norm_inf() * 3.0 + 4.0));
+  EXPECT_EQ(op.backward_error(std::vector<double>(8), std::vector<double>(8),
+                              std::vector<double>(8)),
+            0.0);
+  std::vector<double> bad = r;
+  bad[2] = std::nan("");
+  EXPECT_TRUE(std::isinf(op.backward_error(b, x, bad)));
+  bad[2] = 0.0;
+  std::vector<double> xbad = x;
+  xbad[0] = INFINITY;
+  EXPECT_TRUE(std::isinf(op.backward_error(b, xbad, r)));
+  EXPECT_THROW((void)op.backward_error(b, x, std::vector<double>(7)), std::invalid_argument);
 }
 
 TEST(MatVec, IndefiniteRowWorksToo) {

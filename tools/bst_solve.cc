@@ -42,7 +42,6 @@
 // models (render with `bst_report --roofline`).  A bare --calibrate
 // measures without caching.  --fingerprint prints the machine/build
 // fingerprint (used as the CI cache key) and exits.
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 
@@ -121,20 +120,6 @@ int usage() {
   return 2;
 }
 
-// Frobenius norm of the full block Toeplitz matrix from its first block
-// row: ||T||_F^2 = p ||T_1||_F^2 + sum_{k=2}^p 2 (p - k + 1) ||T_k||_F^2
-// (each T_k appears on 2(p-k+1) off-diagonal block positions).
-double toeplitz_frobenius(const toeplitz::BlockToeplitz& t) {
-  const la::index_t p = t.num_blocks();
-  const double f1 = la::frobenius(t.block(1));
-  double acc = static_cast<double>(p) * f1 * f1;
-  for (la::index_t k = 2; k <= p; ++k) {
-    const double fk = la::frobenius(t.block(k));
-    acc += 2.0 * static_cast<double>(p - k + 1) * fk * fk;
-  }
-  return std::sqrt(acc);
-}
-
 // Finishes an observed run: trace file, profile file, ledger line.
 void finish_observability(util::PerfReport& report, const std::string& profile_path,
                           const std::string& trace_path, const std::string& ledger_path) {
@@ -169,7 +154,7 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
   std::vector<double> x;
   core::solve_rtdr(std::as_const(r_factor).view(), nullptr, b, x);
   std::vector<double> r;
-  toeplitz::MatVec op(t);
+  toeplitz::MatVec op(t, toeplitz::MatVecMode::Fft);
   op.residual(b, x, r);
   const double residual = la::norm2(r);
   if (cli.has("out")) {
@@ -380,18 +365,19 @@ int main(int argc, char** argv) {
       report.metric("perturbations", static_cast<double>(rep.perturbations));
       report.metric("pcg_iterations", rep.pcg_iterations);
       if (rep.condest >= 0) report.metric("condest", rep.condest);
-      // Residual + normwise backward error ||b - Tx|| / (||T||_F ||x|| + ||b||):
-      // the accuracy column the attainment section carries next to the
-      // efficiency columns (speed gains are only worth reporting at
-      // unchanged backward error).
+      // Residual + normwise backward error: the accuracy column the
+      // attainment section carries next to the efficiency columns (speed
+      // gains are only worth reporting at unchanged backward error).  The
+      // certified routes report their SolveReport::backward_error; the plain
+      // Schur route's comes from the same operator's definition.
       {
         std::vector<double> resid;
-        toeplitz::MatVec op(t);
+        const toeplitz::MatVec op(t, toeplitz::MatVecMode::Fft);
         op.residual(b, rep.x, resid);
-        const double rnorm = la::norm2(resid);
-        report.metric("residual", rnorm);
-        const double denom = toeplitz_frobenius(t) * la::norm2(rep.x) + la::norm2(b);
-        if (denom > 0) report.metric("backward_error", rnorm / denom);
+        report.metric("residual", la::norm2(resid));
+        report.metric("backward_error", rep.backward_error >= 0.0
+                                            ? rep.backward_error
+                                            : op.backward_error(b, rep.x, resid));
       }
       for (const util::WorkerStats& w : util::ThreadPool::global().worker_stats()) {
         report.add_thread(w.busy_seconds, w.idle_seconds, w.chunks);
