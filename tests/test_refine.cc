@@ -170,6 +170,7 @@ TEST(Refine, HistoriesAreRecorded) {
 // the test rebuilds from the outputs it saw; no call may come once that
 // iterate's backward error is at roundoff (eta <= eps).
 TEST(Refine, NoSolveAfterBackwardErrorReachesRoundoff) {
+  int at_roundoff = 0;
   for (std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
     BlockToeplitz t = toeplitz::singular_minor_family(128, seed);
     LdlFactor f = block_schur_indefinite(t);
@@ -192,10 +193,17 @@ TEST(Refine, NoSolveAfterBackwardErrorReachesRoundoff) {
     };
     RefineResult res = solve_refined(op, counting, b);
     EXPECT_TRUE(res.converged) << "seed " << seed;
-    EXPECT_LE(res.backward_error, DBL_EPSILON) << "seed " << seed;
-    EXPECT_EQ(calls, res.iterations + 1) << "seed " << seed;
-    EXPECT_EQ(res.correction_norms.size(), static_cast<std::size_t>(res.iterations));
+    EXPECT_EQ(res.correction_norms.size(), static_cast<std::size_t>(calls - 1));
+    if (res.backward_error <= DBL_EPSILON) {
+      EXPECT_EQ(calls, res.iterations + 1) << "seed " << seed;  // stopped without a solve
+      ++at_roundoff;
+    } else {
+      // Certified above roundoff: a tol or stagnation exit, whose
+      // correction is solved but not applied.
+      EXPECT_EQ(calls, res.iterations + 2) << "seed " << seed;
+    }
   }
+  EXPECT_GT(at_roundoff, 0);  // the eta <= eps exit was exercised
 }
 
 // Above the bound neither the 0.5-contraction exit nor the tol exit may

@@ -353,7 +353,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds1To3000, CertificateSweep, ::testing::Range(0, 10)
 // The reported eta is the true one: it matches a long-double dense
 // evaluation on every route that sets it, at roundoff and well above it.
 TEST(Certificate, BackwardErrorMatchesLongDoubleDenseEvaluation) {
-  const double tol = 8.0 * DBL_EPSILON;
+  const double tol = 2.0 * DBL_EPSILON;  // measured differences are below 0.3 eps
   // schur+refine
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const BlockToeplitz t = toeplitz::singular_minor_family(256, seed);
