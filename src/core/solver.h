@@ -121,7 +121,7 @@ struct SolveReport {
   double condest = -1.0;          // policy's condition probe, -1 = not probed
   int refinement_steps = 0;
   bool refined = false;
-  bool converged = true;          // refinement/PCG convergence (true if not run)
+  bool converged = true;          // true on every returned report (else AccuracyNotReached)
   double final_residual = -1.0;   // ||b - T x||_2, -1 when neither PCG nor refinement ran
   /// eta = ||b - Tx||_inf / (||T||_inf ||x||_inf + ||b||_inf), at most
   /// backward_error_bound(n) on the refine and PCG routes; -1 on the plain
