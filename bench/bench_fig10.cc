@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const long nmax = cli.get_int("nmax", 2048);
-  const int reps = static_cast<int>(cli.get_int("reps", 1));
+  const int reps = cli.get_int32("reps", 1);
 
   // Phase-resolved profile of the sweep (the per-span overhead is one
   // relaxed atomic read-modify-write per phase, negligible at these sizes).

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const la::index_t m = cli.get_int("m", 32);
   const la::index_t n = cli.get_int("n", 4096);
-  const int np = static_cast<int>(cli.get_int("np", 64));
+  const int np = cli.get_int32("np", 64);
   bench::Obs obs(cli);
 
   std::cout << "# bench_fig8: " << n << " x " << n << " block Toeplitz, m=" << m

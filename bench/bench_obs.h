@@ -13,9 +13,11 @@
 //
 // Calibration (util/calibrate.h) is auto-loaded from --calibration=<path>
 // or the BST_CALIBRATION environment variable (load-only: benches never
-// spend time measuring; run `bst_solve --calibrate=prof.json` once).  When
-// a profile is present -- or a bench fed per-phase flop models via
-// add_phase_model() -- finish() attaches the "attainment" report section.
+// spend time measuring; run `bst_solve --calibrate=prof.json` once).  A
+// profile that cannot be read, does not parse or carries another machine's
+// fingerprint exits 1.  When a profile is present -- or a bench fed
+// per-phase flop models via add_phase_model() -- finish() attaches the
+// "attainment" report section.
 //
 // The default JSON output honors BST_BENCH_OUT: when set, BENCH_*.json
 // lands in that directory so CI can collect every bench artifact from one
@@ -154,27 +156,39 @@ class Obs {
   }
 
  private:
+  // A profile the bench was told to load but cannot use -- unreadable,
+  // malformed, or measured on another machine or build -- is reported and
+  // exits 1, as an unwritable JSON path is: its ceilings and cache sizes
+  // would retune the kernels and grade attainment for the wrong machine.
+  [[noreturn]] static void calibration_error(const std::string& path, const std::string& why) {
+    std::fprintf(stderr, "bench: error: calibration '%s': %s\n", path.c_str(), why.c_str());
+    std::exit(1);
+  }
+
   void load_calibration(const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench: warning: cannot open calibration '%s'\n", path.c_str());
-      return;
-    }
+    if (f == nullptr) calibration_error(path, "cannot open the file");
     std::string text;
     char buf[4096];
     std::size_t got = 0;
     while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
     std::fclose(f);
+    util::Calibration cal;
     try {
-      const util::Calibration cal = util::Calibration::from_json(util::parse_json(text));
-      cal_json_ = cal.to_json();
-      has_cal_ = true;
-      // Profile in hand: tune the level-3 kernel blocking from its cache
-      // sizes so the bench runs what a tuned solver would run.
-      util::apply_kernel_tuning(cal);
+      cal = util::Calibration::from_json(util::parse_json(text));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: warning: bad calibration '%s': %s\n", path.c_str(), e.what());
+      calibration_error(path, e.what());
     }
+    const std::string here = util::machine_fingerprint();
+    if (cal.fingerprint != here) {
+      calibration_error(path, "fingerprint '" + cal.fingerprint + "' is not this machine's '" +
+                                  here + "' (re-run bst_solve --calibrate=<path> here)");
+    }
+    cal_json_ = cal.to_json();
+    has_cal_ = true;
+    // Profile in hand: tune the level-3 kernel blocking from its cache
+    // sizes so the bench runs what a tuned solver would run.
+    util::apply_kernel_tuning(cal);
   }
 
   std::string trace_, profile_, ledger_, json_flag_;

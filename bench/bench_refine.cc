@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
   std::cout << "# bench_refine: singular-minor perturbation + iterative refinement "
                "(paper section 8)\n";
   paper_example(report);
-  family_table(cli.get_int("n", 64), static_cast<int>(cli.get_int("seeds", 10)), report);
-  family_table(cli.get_int("n2", 256), static_cast<int>(cli.get_int("seeds", 10)), report);
+  family_table(cli.get_int("n", 64), cli.get_int32("seeds", 10), report);
+  family_table(cli.get_int("n2", 256), cli.get_int32("seeds", 10), report);
   report.metric("time_s", util::wall_seconds() - run_t0);
   obs.finish(report);
   return 0;

@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const auto n = static_cast<la::index_t>(cli.get_int("n", 512));
-  const int reqs = static_cast<int>(cli.get_int("reqs", 2000));
-  const int reqs_nocache = static_cast<int>(cli.get_int("reqs-nocache", 50));
+  const int reqs = cli.get_int32("reqs", 2000);
+  const int reqs_nocache = cli.get_int32("reqs-nocache", 50);
   const double openloop_frac = cli.get_double("openloop-frac", 0.5);
 
   bench::Obs obs(cli);

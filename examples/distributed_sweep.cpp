@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const la::index_t m = cli.get_int("m", 8);
   const la::index_t p = cli.get_int("p", 256);
-  const int np = static_cast<int>(cli.get_int("np", 32));
+  const int np = cli.get_int32("np", 32);
 
   std::printf("problem: %td x %td block Toeplitz (m = %td), machine: %d PEs (T3D model)\n",
               m * p, m * p, m, np);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/fault.h"
-#include "util/ledger.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -19,8 +18,7 @@ const util::CtrId kEvictions = util::Metrics::counter("service_cache_evictions")
 // lock wherever resident_ changes.
 const util::GaugeId kResident = util::Metrics::gauge("service_cache_resident_bytes");
 
-// FNV-1a over raw bytes (same constants as util::fnv1a_hex, which takes a
-// string; the first block row is hashed as its in-memory doubles).
+// FNV-1a 64 over raw bytes.
 std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t size) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < size; ++i) {
@@ -38,28 +36,22 @@ std::size_t factor_bytes(const core::SchurFactor& f) {
 }  // namespace
 
 std::string problem_key(const toeplitz::BlockToeplitz& t, const core::SchurOptions& opt) {
-  const la::CView row = t.first_row();
-  std::uint64_t h = 14695981039346656037ull;
   const la::index_t m = t.block_size(), p = t.num_blocks();
+  const auto rep = static_cast<std::int64_t>(opt.rep);
+  std::uint64_t h = 14695981039346656037ull;
   h = fnv1a_bytes(h, &m, sizeof m);
   h = fnv1a_bytes(h, &p, sizeof p);
+  h = fnv1a_bytes(h, &opt.block_size, sizeof opt.block_size);
+  h = fnv1a_bytes(h, &rep, sizeof rep);
+  h = fnv1a_bytes(h, &opt.inner_block, sizeof opt.inner_block);
+  h = fnv1a_bytes(h, &opt.breakdown_tol, sizeof opt.breakdown_tol);
+  const la::CView row = t.first_row();
   for (la::index_t j = 0; j < row.cols(); ++j) {
     h = fnv1a_bytes(h, row.col(j), static_cast<std::size_t>(row.rows()) * sizeof(double));
   }
-  char row_hex[20];
-  std::snprintf(row_hex, sizeof row_hex, "%016llx", static_cast<unsigned long long>(h));
-
-  // Same mechanism as the ledger's params_hash: FNV-1a of a compact params
-  // object (util/ledger.h), here with the matrix content folded in.
-  util::Json params = util::Json::object();
-  params.set("m", util::Json::number(static_cast<std::int64_t>(m)));
-  params.set("p", util::Json::number(static_cast<std::int64_t>(p)));
-  params.set("ms", util::Json::number(static_cast<std::int64_t>(opt.block_size)));
-  params.set("rep", util::Json::number(static_cast<std::int64_t>(opt.rep)));
-  params.set("inner", util::Json::number(static_cast<std::int64_t>(opt.inner_block)));
-  params.set("tol", util::Json::number(opt.breakdown_tol));
-  params.set("row", util::Json::string(row_hex));
-  return util::fnv1a_hex(params.dump_compact());
+  char hex[20];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
 }
 
 FactorCache::FactorCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}

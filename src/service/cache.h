@@ -5,11 +5,8 @@
 // O(m_s n^2) flops, the marginal solve O(n^2) -- and in the solve-many
 // regime the factor is *the* expensive object (same structural point as
 // Kanhouche's inverse-factorization papers, PAPERS.md).  This cache holds
-// recently used factors keyed by the same FNV-1a params hash the perf
-// ledger stamps on every run (util/ledger.h), so a cache key and a ledger
-// line describing the same problem agree on what "the same problem" means:
-// the hash covers the first block row's bytes and every numerically
-// relevant SchurOptions knob.
+// recently used factors keyed by problem_key(): a hash of the first block
+// row's bytes and every numerically relevant SchurOptions knob.
 //
 // Eviction is LRU by *resident bytes* (an n x n factor is n^2 doubles; a
 // thousand cached n = 512 systems is 2 GiB -- entry counts are the wrong
@@ -39,10 +36,10 @@ namespace bst::service {
 
 using FactorPtr = std::shared_ptr<const core::SchurFactor>;
 
-/// Canonical cache key of a problem: the FNV-1a hex hash (util::fnv1a_hex,
-/// the ledger's params_hash function) of a compact params object covering
-/// the matrix content (first block row bytes, m, p) and the numerically
-/// relevant factorization options (m_s, rep, inner_block, breakdown_tol).
+/// Canonical cache key of a problem: the FNV-1a 64 hash, in hex, of the
+/// matrix content (m, p and the first block row's bytes) and the
+/// numerically relevant factorization options (m_s, rep, inner_block,
+/// breakdown_tol), hashed as their bytes.
 std::string problem_key(const toeplitz::BlockToeplitz& t, const core::SchurOptions& opt);
 
 /// Copied-out cache counters.

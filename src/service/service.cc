@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -39,33 +40,11 @@ const util::GaugeId kBacklogAge = util::Metrics::gauge("service_backlog_age_ms")
 const util::HistId kBatchHist = util::Metrics::histogram("service_batch_cols");
 const util::HistId kLatencyHist = util::Metrics::histogram("service_request_ns");
 
-// Emits the request's three-phase timeline as a tiny "req:<id>" track.
-// The span `step` field carries cache hit (1) vs miss (0), so a trace
-// shows hit and miss requests apart at a glance.  Only the first
-// trace_requests ids get tracks: each track's ring is permanent, so an
-// unbounded service must not mint one per request.
-void emit_request_track(const ServiceOptions& opt, std::uint64_t id, bool hit,
-                        std::uint64_t submit_ns, std::uint64_t pop_ns,
-                        std::uint64_t factor_done_ns, std::uint64_t done_ns,
-                        std::uint64_t cols) {
-  if (!util::Tracer::enabled() || !util::FlightRecorder::enabled()) return;
-  if (id > opt.trace_requests) return;
-  static const util::PhaseId kQueueWait = util::Tracer::phase("req_queue_wait");
-  static const util::PhaseId kCacheLookup = util::Tracer::phase("req_cache_lookup");
-  static const util::PhaseId kReqSolve = util::Tracer::phase("req_solve");
-  const std::uint32_t tid =
-      util::FlightRecorder::track("req:" + std::to_string(id), 8);
-  const std::int64_t step = hit ? 1 : 0;
-  util::FlightRecorder::virtual_span(tid, kQueueWait, step, submit_ns, pop_ns, 0, -1);
-  util::FlightRecorder::virtual_span(tid, kCacheLookup, step, pop_ns, factor_done_ns, 0, -1);
-  util::FlightRecorder::virtual_span(tid, kReqSolve, step, factor_done_ns, done_ns, cols, -1);
-}
-
 // Decimated past the first few: an overload that makes one request slow
 // makes thousands slow, and a log storm is its own outage.  The
 // service_slow_requests counter stays exact; stderr gets the first 10
 // lines, then every 100th with the suppressed count.
-void log_slow(std::uint64_t id, const SolveResult& res) {
+void log_slow(const SolveResult& res) {
   static std::atomic<std::uint64_t> logged{0};
   const std::uint64_t seq = logged.fetch_add(1, std::memory_order_relaxed);
   if (seq >= 10 && seq % 100 != 0) return;
@@ -74,7 +53,7 @@ void log_slow(std::uint64_t id, const SolveResult& res) {
   std::fprintf(stderr,
                "[bst_service] slow request id=%llu total_ms=%.2f queue_ms=%.2f "
                "factor_ms=%.2f solve_ms=%.2f hit=%d batch=%lld warnings=%llu%s\n",
-               static_cast<unsigned long long>(id), total_ms,
+               static_cast<unsigned long long>(res.req_id), total_ms,
                static_cast<double>(res.queue_ns) * 1e-6,
                static_cast<double>(res.factor_ns) * 1e-6,
                static_cast<double>(res.solve_ns) * 1e-6, res.cache_hit ? 1 : 0,
@@ -83,18 +62,37 @@ void log_slow(std::uint64_t id, const SolveResult& res) {
                seq >= 10 ? " (slow log decimated to 1/100)" : "");
 }
 
-// Exception-safe crashbox request-table entry for the synchronous solve
-// paths (the async path threads Request::cb_slot through the queue instead,
-// because the slot outlives the submitting frame).
-struct CrashboxReq {
-  int slot;
-  CrashboxReq(std::uint64_t id, util::ReqPhase p)
-      : slot(util::Crashbox::request_begin(id, p)) {}
-  CrashboxReq(const CrashboxReq&) = delete;
-  CrashboxReq& operator=(const CrashboxReq&) = delete;
-  void phase(util::ReqPhase p) const { util::Crashbox::request_phase(slot, p); }
-  ~CrashboxReq() { util::Crashbox::request_end(slot); }
-};
+// Finishes one served request, whose timings `res` carries: records its
+// latency, emits its "req:<id>" track and applies the slow rule.  True
+// when it was slow.
+//
+// The track shows the request's three phases; the span `step` field
+// carries cache hit (1) vs miss (0), so a trace shows hit and miss
+// requests apart at a glance.  Only the first trace_requests ids get
+// tracks: each track's ring is permanent, so an unbounded service must not
+// mint one per request.
+bool finish(const ServiceOptions& opt, const SolveResult& res) {
+  const std::uint64_t latency = res.queue_ns + res.factor_ns + res.solve_ns;
+  util::Metrics::record(kLatencyHist, latency);
+  if (util::Tracer::enabled() && util::FlightRecorder::enabled() &&
+      res.req_id <= opt.trace_requests) {
+    static const util::PhaseId kQueueWait = util::Tracer::phase("req_queue_wait");
+    static const util::PhaseId kCacheLookup = util::Tracer::phase("req_cache_lookup");
+    static const util::PhaseId kReqSolve = util::Tracer::phase("req_solve");
+    const std::uint32_t tid =
+        util::FlightRecorder::track("req:" + std::to_string(res.req_id), 8);
+    const std::int64_t step = res.cache_hit ? 1 : 0;
+    const std::uint64_t factor_done = res.done_ns - res.solve_ns;
+    const std::uint64_t start = factor_done - res.factor_ns;
+    const auto cols = static_cast<std::uint64_t>(res.batch_cols);
+    util::FlightRecorder::virtual_span(tid, kQueueWait, step, start - res.queue_ns, start, 0, -1);
+    util::FlightRecorder::virtual_span(tid, kCacheLookup, step, start, factor_done, 0, -1);
+    util::FlightRecorder::virtual_span(tid, kReqSolve, step, factor_done, res.done_ns, cols, -1);
+  }
+  const bool slow = opt.slow_ms > 0.0 && static_cast<double>(latency) > opt.slow_ms * 1e6;
+  if (slow) log_slow(res);
+  return slow;
+}
 
 // The same ranges ServiceOptions::from_env enforces on the variables.  The
 // dispatcher thread reads opt_ from construction on, so this throws before
@@ -206,59 +204,10 @@ void Service::solve_batch_refined(const toeplitz::BlockToeplitz& t, const std::s
 }
 
 SolveResult Service::solve(const toeplitz::BlockToeplitz& t, const std::vector<double>& b) {
-  const index_t n = t.order();
-  if (static_cast<index_t>(b.size()) != n) {
+  if (static_cast<index_t>(b.size()) != t.order()) {
     throw std::invalid_argument("Service::solve: rhs length does not match the matrix order");
   }
-  {
-    std::lock_guard lock(mu_);
-    ++submitted_;
-  }
-  util::Metrics::add(kSubmitted);
-  const std::uint64_t id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t t_submit = util::TraceClock::now_ns();
-  const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
-  const CrashboxReq cb(id, util::ReqPhase::kFactor);
-  const std::string key = problem_key(t, opt_.schur);
-  bool hit = false;
-  const FactorPtr f = factor_for(t, key, &hit);
-  const std::uint64_t t_factor = util::TraceClock::now_ns();
-  cb.phase(util::ReqPhase::kSolve);
-  // Exactly one column: the kernels round it as they would inside any
-  // batch, so the answer bits match the batched paths.
-  SolveResult res;
-  res.x = b;
-  solve_batch_refined(t, key, *f, la::View(res.x.data(), n, 1, n));
-  res.cache_hit = hit;
-  res.factor_flops = f->flops;
-  res.batch_cols = 1;
-  res.refine_steps = opt_.refine_steps;
-  res.solver_path = opt_.refine_steps > 0 ? "schur+refine" : "schur";
-  res.done_ns = util::TraceClock::now_ns();
-  res.req_id = id;
-  res.queue_ns = 0;
-  res.factor_ns = t_factor - t_submit;
-  res.solve_ns = res.done_ns - t_factor;
-  res.warnings = util::Metrics::counter_value(kWarnings) - warn0;
-  util::Metrics::record(kBatchHist, 1);
-  util::Metrics::record(kLatencyHist, res.done_ns - t_submit);
-  emit_request_track(opt_, id, hit, t_submit, t_submit, t_factor, res.done_ns, 1);
-  const bool slow = opt_.slow_ms > 0.0 &&
-                    static_cast<double>(res.done_ns - t_submit) > opt_.slow_ms * 1e6;
-  {
-    std::lock_guard lock(mu_);
-    ++completed_;
-    ++batches_;
-    max_batch_ = std::max<std::uint64_t>(max_batch_, 1);
-    if (slow) ++slow_;
-  }
-  util::Metrics::add(kCompleted);
-  util::Metrics::add(kBatches);
-  if (slow) {
-    util::Metrics::add(kSlow);
-    log_slow(id, res);
-  }
-  return res;
+  return run(t, b);
 }
 
 la::Mat Service::solve_many(const toeplitz::BlockToeplitz& t, la::CView b) {
@@ -266,50 +215,11 @@ la::Mat Service::solve_many(const toeplitz::BlockToeplitz& t, la::CView b) {
   if (b.rows() != n) {
     throw std::invalid_argument("Service::solve_many: rhs rows do not match the matrix order");
   }
-  {
-    std::lock_guard lock(mu_);
-    submitted_ += static_cast<std::uint64_t>(k);
-  }
-  util::Metrics::add(kSubmitted, static_cast<std::uint64_t>(k));
-  const std::uint64_t id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t t_submit = util::TraceClock::now_ns();
-  const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
-  const CrashboxReq cb(id, util::ReqPhase::kFactor);
-  const std::string key = problem_key(t, opt_.schur);
-  bool hit = false;
-  const FactorPtr f = factor_for(t, key, &hit);
-  const std::uint64_t t_factor = util::TraceClock::now_ns();
-  cb.phase(util::ReqPhase::kSolve);
+  std::vector<double> rhs(static_cast<std::size_t>(n * k));
+  la::copy(b, la::View(rhs.data(), n, k, n));
+  const SolveResult res = run(t, std::move(rhs));
   la::Mat x(n, k);
-  la::copy(b, x.view());
-  solve_batch_refined(t, key, *f, x.view());
-  const std::uint64_t done_ns = util::TraceClock::now_ns();
-  util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
-  util::Metrics::record(kLatencyHist, done_ns - t_submit);
-  emit_request_track(opt_, id, hit, t_submit, t_submit, t_factor, done_ns,
-                     static_cast<std::uint64_t>(k));
-  const std::uint64_t warn_delta = util::Metrics::counter_value(kWarnings) - warn0;
-  const bool slow = opt_.slow_ms > 0.0 &&
-                    static_cast<double>(done_ns - t_submit) > opt_.slow_ms * 1e6;
-  {
-    std::lock_guard lock(mu_);
-    completed_ += static_cast<std::uint64_t>(k);
-    ++batches_;
-    max_batch_ = std::max(max_batch_, static_cast<std::uint64_t>(k));
-    if (slow) ++slow_;
-  }
-  util::Metrics::add(kCompleted, static_cast<std::uint64_t>(k));
-  util::Metrics::add(kBatches);
-  if (slow) {
-    util::Metrics::add(kSlow);
-    SolveResult probe;  // reuse the structured log line for the batch call
-    probe.cache_hit = hit;
-    probe.batch_cols = k;
-    probe.factor_ns = t_factor - t_submit;
-    probe.solve_ns = done_ns - t_factor;
-    probe.warnings = warn_delta;
-    log_slow(id, probe);
-  }
+  std::copy(res.x.begin(), res.x.end(), x.data());
   return x;
 }
 
@@ -318,28 +228,10 @@ std::future<SolveResult> Service::submit(const toeplitz::BlockToeplitz& t,
   if (static_cast<index_t>(b.size()) != t.order()) {
     throw std::invalid_argument("Service::submit: rhs length does not match the matrix order");
   }
-  util::Fault::fire("admission");
   Request req;
-  req.key = problem_key(t, opt_.schur);
   req.b = std::move(b);
-  req.submit_ns = util::TraceClock::now_ns();
-  req.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
   std::future<SolveResult> fut = req.done.get_future();
-  {
-    std::unique_lock lock(mu_);
-    cv_notfull_.wait(lock, [&] { return stop_ || queue_.size() < opt_.queue_capacity; });
-    if (stop_) throw std::runtime_error("Service::submit: service is shutting down");
-    req.t = hold_matrix(req.key, t);
-    // Registered only once admission is certain; the dispatcher owns the
-    // slot from here (phase transitions + release).
-    req.cb_slot = util::Crashbox::request_begin(req.id, util::ReqPhase::kQueued);
-    queue_.push_back(std::move(req));
-    ++submitted_;
-    queue_peak_ = std::max(queue_peak_, static_cast<std::uint64_t>(queue_.size()));
-    util::Metrics::gauge_set(kQueueDepth, static_cast<std::int64_t>(queue_.size()));
-  }
-  util::Metrics::add(kSubmitted);
-  cv_nonempty_.notify_one();
+  admit(t, req, Admission::kWait);
   return fut;
 }
 
@@ -348,31 +240,146 @@ bool Service::try_submit(const toeplitz::BlockToeplitz& t, std::vector<double> b
   if (static_cast<index_t>(b.size()) != t.order()) {
     throw std::invalid_argument("Service::try_submit: rhs length does not match the matrix order");
   }
-  util::Fault::fire("admission");
   Request req;
-  req.key = problem_key(t, opt_.schur);
   req.b = std::move(b);
+  std::future<SolveResult> fut = req.done.get_future();
+  if (!admit(t, req, Admission::kTry)) return false;
+  out = std::move(fut);
+  return true;
+}
+
+SolveResult Service::run(const toeplitz::BlockToeplitz& t, std::vector<double> b) {
+  Request req;
+  req.b = std::move(b);
+  std::future<SolveResult> fut = req.done.get_future();
+  admit(t, req, Admission::kRun);
+  serve(t, std::span<Request>(&req, 1), req.submit_ns);
+  return fut.get();
+}
+
+bool Service::admit(const toeplitz::BlockToeplitz& t, Request& req, Admission how) {
+  const bool queued = how != Admission::kRun;
+  if (queued) util::Fault::fire("admission");
+  req.key = problem_key(t, opt_.schur);
   req.submit_ns = util::TraceClock::now_ns();
   req.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  std::future<SolveResult> fut = req.done.get_future();
+  const std::uint64_t cols = req.b.size() / static_cast<std::size_t>(t.order());
   {
     std::unique_lock lock(mu_);
-    if (stop_ || queue_.size() >= opt_.queue_capacity) {
+    if (how == Admission::kWait) {
+      cv_notfull_.wait(lock, [&] { return stop_ || queue_.size() < opt_.queue_capacity; });
+      if (stop_) throw std::runtime_error("Service::submit: service is shutting down");
+    } else if (how == Admission::kTry && (stop_ || queue_.size() >= opt_.queue_capacity)) {
       ++rejected_;
       util::Metrics::add(kRejected);
       return false;
     }
-    req.t = hold_matrix(req.key, t);
-    req.cb_slot = util::Crashbox::request_begin(req.id, util::ReqPhase::kQueued);
-    queue_.push_back(std::move(req));
-    ++submitted_;
-    queue_peak_ = std::max(queue_peak_, static_cast<std::uint64_t>(queue_.size()));
-    util::Metrics::gauge_set(kQueueDepth, static_cast<std::int64_t>(queue_.size()));
+    // Registered only once admission is certain; serve() moves the slot
+    // through its phases and releases it.
+    req.cb_slot = util::Crashbox::request_begin(
+        req.id, queued ? util::ReqPhase::kQueued : util::ReqPhase::kFactor);
+    submitted_ += cols;
+    if (queued) {
+      req.t = hold_matrix(req.key, t);
+      queue_.push_back(std::move(req));
+      queue_peak_ = std::max(queue_peak_, static_cast<std::uint64_t>(queue_.size()));
+      util::Metrics::gauge_set(kQueueDepth, static_cast<std::int64_t>(queue_.size()));
+    } else {
+      inflight_ += cols;
+      util::Metrics::gauge_set(kInflight, static_cast<std::int64_t>(inflight_));
+    }
   }
-  util::Metrics::add(kSubmitted);
-  cv_nonempty_.notify_one();
-  out = std::move(fut);
+  util::Metrics::add(kSubmitted, cols);
+  if (queued) cv_nonempty_.notify_one();
   return true;
+}
+
+void Service::serve(const toeplitz::BlockToeplitz& t, std::span<Request> batch,
+                    std::uint64_t start_ns) {
+  const index_t n = t.order();
+  const std::string& key = batch.front().key;
+  index_t cols = 0;
+  for (const Request& req : batch) cols += static_cast<index_t>(req.b.size()) / n;
+  // Profiler sample attribution: tag this thread's samples with the id
+  // leading the batch (the same id the crashbox request table carries),
+  // so flamegraphs fold per `req:<id>` like the flight-recorder tracks.
+  util::Prof::set_request(batch.front().id);
+  SolveResult shared;  // what every request of the batch shares
+  std::exception_ptr err;
+  try {
+    const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
+    for (const Request& req : batch) {
+      util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kFactor);
+    }
+    const FactorPtr f = factor_for(t, key, &shared.cache_hit);
+    const std::uint64_t factor_done_ns = util::TraceClock::now_ns();
+    for (const Request& req : batch) {
+      util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kSolve);
+    }
+    // A lone request is solved in place; a batch gathers its columns and
+    // scatters the solutions back.
+    la::Mat gathered;
+    la::View x(batch.front().b.data(), n, cols, n);
+    if (batch.size() > 1) {
+      gathered = la::Mat(n, cols);
+      double* dst = gathered.data();
+      for (const Request& req : batch) dst = std::copy(req.b.begin(), req.b.end(), dst);
+      x = gathered.view();
+    }
+    solve_batch_refined(t, key, *f, x);
+    if (batch.size() > 1) {
+      const double* src = gathered.data();
+      for (Request& req : batch) {
+        std::copy(src, src + req.b.size(), req.b.begin());
+        src += req.b.size();
+      }
+    }
+    shared.done_ns = util::TraceClock::now_ns();
+    shared.factor_flops = f->flops;
+    shared.batch_cols = cols;
+    shared.factor_ns = factor_done_ns - start_ns;
+    shared.solve_ns = shared.done_ns - factor_done_ns;
+    shared.warnings = util::Metrics::counter_value(kWarnings) - warn0;
+    shared.refine_steps = opt_.refine_steps;
+    shared.solver_path = opt_.refine_steps > 0 ? "schur+refine" : "schur";
+    util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(cols));
+  } catch (...) {
+    // A failed factorization (e.g. NotPositiveDefinite) fails the whole
+    // batch -- every request is the same problem.
+    err = std::current_exception();
+  }
+  std::uint64_t slow = 0;
+  for (Request& req : batch) {
+    if (err != nullptr) {
+      req.done.set_exception(err);
+    } else {
+      SolveResult res = shared;
+      res.x = std::move(req.b);
+      res.req_id = req.id;
+      res.queue_ns = start_ns - req.submit_ns;
+      if (finish(opt_, res)) ++slow;
+      req.done.set_value(std::move(res));
+    }
+    util::Crashbox::request_end(req.cb_slot);
+  }
+  util::Prof::set_request(0);
+
+  // The one site that counts requests done, whatever their outcome.
+  const auto done = static_cast<std::uint64_t>(cols);
+  {
+    std::lock_guard lock(mu_);
+    if (batch.front().t != nullptr) release_matrix(key, batch.size());  // queued requests
+    inflight_ -= done;
+    completed_ += done;
+    ++batches_;
+    max_batch_ = std::max(max_batch_, done);
+    slow_ += slow;
+    util::Metrics::gauge_set(kInflight, static_cast<std::int64_t>(inflight_));
+  }
+  util::Metrics::add(kCompleted, done);
+  util::Metrics::add(kBatches);
+  if (slow > 0) util::Metrics::add(kSlow, slow);
+  cv_drained_.notify_all();
 }
 
 std::shared_ptr<const toeplitz::BlockToeplitz> Service::hold_matrix(
@@ -434,89 +441,7 @@ void Service::dispatcher_loop() {
     cv_notfull_.notify_all();
 
     util::Fault::fire("dispatch");
-    const auto k = static_cast<index_t>(batch.size());
-    const std::uint64_t pop_ns = util::TraceClock::now_ns();
-    // Profiler sample attribution: tag this thread's samples with the id
-    // leading the batch (the same id the crashbox request table carries),
-    // so flamegraphs fold per `req:<id>` like the flight-recorder tracks.
-    util::Prof::set_request(batch.front().id);
-    std::uint64_t slow_count = 0;
-    try {
-      const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
-      for (const Request& req : batch) {
-        util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kFactor);
-      }
-      const toeplitz::BlockToeplitz& t = *batch.front().t;
-      bool hit = false;
-      const FactorPtr f = factor_for(t, batch.front().key, &hit);
-      const std::uint64_t factor_done_ns = util::TraceClock::now_ns();
-      for (const Request& req : batch) {
-        util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kSolve);
-      }
-      const index_t n = t.order();
-      la::Mat x(n, k);
-      for (index_t j = 0; j < k; ++j) {
-        const std::vector<double>& b = batch[static_cast<std::size_t>(j)].b;
-        std::copy(b.begin(), b.end(), x.data() + j * n);
-      }
-      solve_batch_refined(t, batch.front().key, *f, x.view());
-      const std::uint64_t done_ns = util::TraceClock::now_ns();
-      const std::uint64_t warn_delta = util::Metrics::counter_value(kWarnings) - warn0;
-      util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
-      for (index_t j = 0; j < k; ++j) {
-        Request& req = batch[static_cast<std::size_t>(j)];
-        SolveResult res;
-        const double* xj = x.data() + j * n;
-        res.x.assign(xj, xj + n);
-        res.cache_hit = hit;
-        res.factor_flops = f->flops;
-        res.batch_cols = k;
-        res.done_ns = done_ns;
-        res.req_id = req.id;
-        res.queue_ns = pop_ns - req.submit_ns;
-        res.factor_ns = factor_done_ns - pop_ns;
-        res.solve_ns = done_ns - factor_done_ns;
-        res.warnings = warn_delta;
-        res.refine_steps = opt_.refine_steps;
-        res.solver_path = opt_.refine_steps > 0 ? "schur+refine" : "schur";
-        util::Metrics::record(kLatencyHist, done_ns - req.submit_ns);
-        emit_request_track(opt_, req.id, hit, req.submit_ns, pop_ns, factor_done_ns,
-                           done_ns, static_cast<std::uint64_t>(k));
-        const bool slow =
-            opt_.slow_ms > 0.0 &&
-            static_cast<double>(done_ns - req.submit_ns) > opt_.slow_ms * 1e6;
-        if (slow) {
-          ++slow_count;
-          util::Metrics::add(kSlow);
-          log_slow(req.id, res);
-        }
-        req.done.set_value(std::move(res));
-        util::Crashbox::request_end(req.cb_slot);
-      }
-    } catch (...) {
-      // Factorization failure (e.g. NotPositiveDefinite) fails the whole
-      // batch -- every request is the same problem.
-      std::exception_ptr err = std::current_exception();
-      for (Request& req : batch) {
-        req.done.set_exception(err);
-        util::Crashbox::request_end(req.cb_slot);
-      }
-    }
-    util::Prof::set_request(0);
-
-    {
-      std::lock_guard lock(mu_);
-      release_matrix(batch.front().key, batch.size());
-      inflight_ -= batch.size();
-      completed_ += batch.size();
-      ++batches_;
-      max_batch_ = std::max(max_batch_, static_cast<std::uint64_t>(batch.size()));
-      slow_ += slow_count;
-      util::Metrics::gauge_set(kInflight, static_cast<std::int64_t>(inflight_));
-    }
-    util::Metrics::add(kCompleted, static_cast<std::uint64_t>(batch.size()));
-    util::Metrics::add(kBatches);
-    cv_drained_.notify_all();
+    serve(*batch.front().t, batch, util::TraceClock::now_ns());
   }
 }
 

@@ -7,8 +7,9 @@
 // layers three things over core::block_schur_factor + the level-3 solve
 // path to serve that shape of load:
 //
-//   * a FactorCache (service/cache.h): factors are cached by the ledger's
-//     params hash and reused across requests -- factor once, solve many;
+//   * a FactorCache (service/cache.h): factors are cached by a hash of the
+//     problem's bytes and options and reused across requests -- factor
+//     once, solve many;
 //   * blocked multi-RHS solves: a batch of k right-hand sides is solved as
 //     exactly k columns through core::solve_rtdr_panels, which drives the
 //     packed la/blas3 trsm; a lone request pays for one column;
@@ -18,6 +19,11 @@
 //     one factor lookup + one blocked solve.  Groups of rhs_panel columns
 //     fan out across util::ThreadPool.  Queued requests of one key share
 //     one copy of their matrix (ServiceStats::queued_matrices).
+//
+// One request path: solve() and solve_many() run their call on the
+// caller's thread and the dispatcher runs each coalesced batch, all
+// through the same serving routine, so every request is timed, traced
+// and counted alike -- a failed one included (docs/SERVICE.md).
 //
 // Determinism: concurrent submit()s return solutions bitwise identical to
 // the serial solve() path at any thread count and any batching outcome.
@@ -75,6 +81,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -125,16 +132,20 @@ struct SolveResult {
   std::string solver_path = "schur";  // "schur" or "schur+refine"
 };
 
-/// Copied-out service counters (cache + queue + batching).
+/// Copied-out service counters (cache + queue + batching).  Requests are
+/// counted per right-hand side (a k-column solve_many() counts k) and
+/// whatever their outcome: a request whose factorization fails is still
+/// completed, and its call or dispatch still one batch.  So every admitted
+/// request is queued, in flight or completed.
 struct ServiceStats {
   CacheStats cache;
-  std::uint64_t submitted = 0;  // requests admitted (sync calls included)
+  std::uint64_t submitted = 0;  // requests admitted, sync calls included
   std::uint64_t rejected = 0;   // try_submit refusals on a full queue
-  std::uint64_t completed = 0;
-  std::uint64_t batches = 0;    // dispatches (each = 1 factor lookup)
-  std::uint64_t max_batch = 0;  // largest coalesced batch
+  std::uint64_t completed = 0;  // requests answered or failed
+  std::uint64_t batches = 0;    // sync calls + dispatches (each = 1 factor lookup)
+  std::uint64_t max_batch = 0;  // largest batch, in requests
   std::uint64_t queue_peak = 0; // high-water mark of the admission queue
-  std::uint64_t slow = 0;       // requests past the slow_ms threshold
+  std::uint64_t slow = 0;       // sync calls and queued requests past slow_ms
   std::uint64_t refine_sweeps = 0;  // FFT-residual sweeps executed
   std::size_t queued_matrices = 0;  // matrix copies held for queued/dispatching requests
 
@@ -173,7 +184,8 @@ class Service {
   bool try_submit(const toeplitz::BlockToeplitz& t, std::vector<double> b,
                   std::future<SolveResult>& out);
 
-  /// Blocks until every admitted request has completed.
+  /// Blocks until every admitted request has completed: the queued ones
+  /// and the solve()/solve_many() calls running on other threads.
   void drain();
 
   [[nodiscard]] ServiceStats stats() const;
@@ -185,15 +197,34 @@ class Service {
   [[nodiscard]] const ServiceOptions& options() const noexcept { return opt_; }
 
  private:
+  /// One request: a sync call (solve_many()'s holds k columns) or a queued
+  /// submit() (one column).
   struct Request {
     std::string key;
-    std::shared_ptr<const toeplitz::BlockToeplitz> t;  // shared per key (matrices_)
-    std::vector<double> b;
+    std::shared_ptr<const toeplitz::BlockToeplitz> t;  // queued only: shared per key (matrices_)
+    std::vector<double> b;  // right-hand sides, column-major; the solutions once served
     std::promise<SolveResult> done;
     std::uint64_t submit_ns = 0;
     std::uint64_t id = 0;  // minted at admission (next_req_id_)
     int cb_slot = -1;      // crashbox active-request slot (-1 = table full)
   };
+
+  /// How a request enters: run at once by a sync call, or queued by
+  /// submit() (waiting for room) or try_submit() (refused on a full queue).
+  enum class Admission { kRun, kWait, kTry };
+
+  /// Mints `req`'s key, id and admission stamp, and counts it submitted: in
+  /// flight at once (kRun) or queued.  False only when kTry is refused;
+  /// kWait throws std::runtime_error when the service is shutting down.
+  bool admit(const toeplitz::BlockToeplitz& t, Request& req, Admission how);
+
+  /// A sync call: admits `b` as one request and serves it on this thread.
+  SolveResult run(const toeplitz::BlockToeplitz& t, std::vector<double> b);
+
+  /// Serves `batch` (in-flight requests of one key, started at `start_ns`)
+  /// with one factor lookup and one blocked solve, delivers every result
+  /// or the factorization's error through `done`, and counts the batch.
+  void serve(const toeplitz::BlockToeplitz& t, std::span<Request> batch, std::uint64_t start_ns);
 
   /// Factor via the cache (or directly when caching is off).
   FactorPtr factor_for(const toeplitz::BlockToeplitz& t, const std::string& key, bool* hit);
@@ -229,7 +260,7 @@ class Service {
   std::condition_variable cv_notfull_;
   std::condition_variable cv_drained_;
   std::deque<Request> queue_;
-  std::size_t inflight_ = 0;  // requests popped but not yet completed
+  std::size_t inflight_ = 0;  // requests being served: dispatched or in a sync call
   bool stop_ = false;
   std::uint64_t submitted_ = 0, rejected_ = 0, completed_ = 0;
   std::uint64_t batches_ = 0, max_batch_ = 0, queue_peak_ = 0, slow_ = 0;

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -59,6 +60,15 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 long Cli::get_int(const std::string& key, long fallback) const {
   const auto it = kv_.find(key);
   return it == kv_.end() ? fallback : parse_number<long>("--" + key, it->second);
+}
+
+int Cli::get_int32(const std::string& key, int fallback) const {
+  const long v = get_int(key, fallback);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("--" + key + ": integer out of range for int, got '" +
+                             kv_.at(key) + "'");
+  }
+  return static_cast<int>(v);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {

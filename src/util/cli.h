@@ -29,6 +29,9 @@ class Cli {
   /// garbage (`--np=4x`, `--panel=8q`) and values a long or a finite double
   /// cannot hold throw naming the flag.
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
+  /// get_int for a flag held in an `int`: a value outside int's range
+  /// (`--np=4294967297`) throws naming the flag instead of narrowing.
+  [[nodiscard]] int get_int32(const std::string& key, int fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;
   /// Every --key given, in sorted order (for tools that reject flags they

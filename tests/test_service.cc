@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -661,6 +662,69 @@ TEST(MetricsCounters, ServiceCountersAccumulate) {
   svc.solve(t, b);
   EXPECT_EQ(util::Metrics::counter_value(hits), h0 + 1);
   EXPECT_EQ(util::Metrics::counter_value(misses), m0 + 1);
+}
+
+// ------------------------------------------------------ one request path
+
+// One accounting rule on every path: a request whose factorization fails
+// counts as submitted, as completed and as one batch, whether it came
+// through solve(), solve_many() or submit().
+TEST(Service, FailedRequestCountsAlikeOnEveryPath) {
+  const BlockToeplitz bad = toeplitz::random_indefinite(12, 3, /*diag=*/1.2);
+  const la::index_t n = bad.order();
+  const std::vector<double> b(static_cast<std::size_t>(n), 1.0);
+  la::Mat bm(n, 1);
+  std::copy(b.begin(), b.end(), bm.data());
+  const auto counts = [](const Service& svc) {
+    const service::ServiceStats s = svc.stats();
+    return std::vector<std::uint64_t>{s.submitted, s.completed, s.batches};
+  };
+  const std::vector<std::uint64_t> want{1, 1, 1};
+
+  Service sync_svc(small_opts());
+  EXPECT_THROW(sync_svc.solve(bad, b), core::NotPositiveDefinite);
+  EXPECT_EQ(counts(sync_svc), want) << "solve()";
+
+  Service many_svc(small_opts());
+  EXPECT_THROW(many_svc.solve_many(bad, bm.view()), core::NotPositiveDefinite);
+  EXPECT_EQ(counts(many_svc), want) << "solve_many()";
+
+  Service async_svc(small_opts());
+  std::future<SolveResult> fut = async_svc.submit(bad, b);
+  EXPECT_THROW(fut.get(), core::NotPositiveDefinite);
+  async_svc.drain();
+  EXPECT_EQ(counts(async_svc), want) << "submit()";
+}
+
+// A sync call is in flight while it runs: the service_inflight gauge
+// counts it and drain() waits for it.  An injected slow fault holds the
+// call inside its factorization.
+TEST(Service, DrainWaitsForSyncCalls) {
+  const util::GaugeId inflight = util::Metrics::gauge("service_inflight");
+  const BlockToeplitz t = toeplitz::kms(32, 0.5);
+  const std::vector<double> b = toeplitz::rhs_for_ones(t);
+  ::setenv("BST_FAULT", "cache_fill:slow", 1);
+  ::setenv("BST_FAULT_SLOW_MS", "300", 1);
+  util::Fault::reload();
+  {
+    ServiceOptions o = small_opts();
+    o.slow_ms = 0.0;  // the injected delay is not news
+    Service svc(o);
+    std::thread caller([&] { (void)svc.solve(t, b); });
+    // Admitted: the call now sleeps 300 ms before its factorization.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (svc.stats().submitted == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(util::Metrics::gauge_value(inflight), 1);
+    svc.drain();
+    EXPECT_EQ(svc.stats().completed, 1u) << "drain() returned before the call finished";
+    EXPECT_EQ(util::Metrics::gauge_value(inflight), 0);
+    caller.join();
+  }
+  ::unsetenv("BST_FAULT");
+  ::unsetenv("BST_FAULT_SLOW_MS");
+  util::Fault::reload();
 }
 
 }  // namespace

@@ -143,6 +143,24 @@ TEST(Cli, RejectsTrailingGarbageOnIntegers) {
   }
 }
 
+// A flag held in an int is range-checked, not narrowed: 2^32 + 1 would
+// otherwise read as 1.
+TEST(Cli, Int32FlagRejectsValuesOutsideInt) {
+  const char* argv[] = {"prog", "--np=4294967297", "--reqs=-2147483649", "--n=2147483647"};
+  Cli cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("np", 0), 4294967297L);  // a long holds it
+  EXPECT_EQ(cli.get_int32("n", 0), 2147483647);
+  EXPECT_EQ(cli.get_int32("missing", -3), -3);
+  EXPECT_THROW((void)cli.get_int32("reqs", 0), std::runtime_error);
+  try {
+    (void)cli.get_int32("np", 0);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--np"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("4294967297"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Cli, RejectsTrailingGarbageOnDoubles) {
   const char* argv[] = {"prog", "--rate=2.5mb", "--tol=1e-9", "--empty="};
   Cli cli(4, const_cast<char**>(argv));

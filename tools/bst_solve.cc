@@ -139,7 +139,7 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
                const std::string& profile_path, const std::string& trace_path,
                const std::string& ledger_path, const util::Json* calibration) {
   simnet::DistOptions dopt;
-  dopt.np = cli.get_int("np", 4);
+  dopt.np = cli.get_int32("np", 4);
   dopt.layout = parse_layout(cli.get("layout", "v1"));
   dopt.group = cli.get_int("group", 4);
   dopt.spread = cli.get_int("spread", 2);
