@@ -66,9 +66,7 @@ la::index_t best_spread(double comm_scale, int np, la::index_t m, la::index_t p)
   return arg;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   bench::Obs obs(cli);
@@ -134,4 +132,10 @@ int main(int argc, char** argv) {
   report.metric("time_s", util::wall_seconds() - run_t0);
   obs.finish(report);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_ablation", run, argc, argv);
 }

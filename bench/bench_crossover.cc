@@ -13,7 +13,9 @@
 
 using namespace bst;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const long nmax = cli.get_int("nmax", 2048);
@@ -71,4 +73,10 @@ int main(int argc, char** argv) {
   report.add_table(tab);
   obs.finish(report);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_crossover", run, argc, argv);
 }

@@ -15,7 +15,9 @@
 
 using namespace bst;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const long nmax = cli.get_int("nmax", 2048);
@@ -60,8 +62,8 @@ int main(int argc, char** argv) {
         // matching the tracer's accumulation).
         obs.add_phase_models(core::schur_phase_models(opt.rep, n, ms));
       }
-      rrow.push_back(static_cast<double>(flops) / best / 1e6);
-      wrow.push_back(best);
+      rrow.emplace_back(static_cast<double>(flops) / best / 1e6);
+      wrow.emplace_back(best);
     }
     rate.row(std::move(rrow));
     wall.row(std::move(wrow));
@@ -84,4 +86,10 @@ int main(int argc, char** argv) {
                "so a working block size m_s > m can reduce wall time despite ~4 m_s n^2 "
                "flops\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_fig10", run, argc, argv);
 }

@@ -12,7 +12,9 @@
 
 using namespace bst;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const la::index_t n = cli.get_int("n", 4096);
@@ -56,4 +58,10 @@ int main(int argc, char** argv) {
   obs.write_default_json(report, "BENCH_fig6.json");
   std::cout << "paper: best time at b = 16; times increase again at b = 32, 64\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_fig6", run, argc, argv);
 }

@@ -11,7 +11,9 @@
 
 using namespace bst;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const la::index_t m = cli.get_int("m", 8);
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
   std::cout << "paper: for moderate m with N >> NP, V1 (b = 1) gives the fastest "
                "factorization\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_fig7", run, argc, argv);
 }

@@ -11,7 +11,9 @@
 
 using namespace bst;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const la::index_t m = cli.get_int("m", 32);
@@ -62,4 +64,10 @@ int main(int argc, char** argv) {
   obs.write_default_json(report, "BENCH_fig8.json");
   std::cout << "paper: optimal spread is 8; larger spreads lose to broadcast cost\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_fig8", run, argc, argv);
 }

@@ -13,7 +13,9 @@
 
 using namespace bst;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const la::index_t n = cli.get_int("n", 1024);
@@ -46,4 +48,10 @@ int main(int argc, char** argv) {
   std::cout << "paper: m=4 is slower for small NP, faster for large NP "
                "(synchronization amortization + cache-line effects)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_fig9", run, argc, argv);
 }

@@ -87,9 +87,7 @@ void measured_table(la::index_t m, la::index_t p, util::PerfReport& report) {
   report.add_table(tab);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const la::index_t p = cli.get_int("p", 64);
@@ -105,4 +103,10 @@ int main(int argc, char** argv) {
   obs.finish(report);
   obs.write_default_json(report, "BENCH_forms.json");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_forms", run, argc, argv);
 }

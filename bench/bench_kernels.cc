@@ -302,10 +302,12 @@ void run_memory_sweep(util::PerfReport& report) {
 
 }  // namespace
 
+namespace {
+
 // Custom main (instead of benchmark::benchmark_main) so the shared
 // observability flags work here too: google-benchmark's Initialize strips
 // the flags it recognises and leaves ours in argv.
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::Obs obs(cli);
   benchmark::Initialize(&argc, argv);
@@ -327,4 +329,10 @@ int main(int argc, char** argv) {
   obs.finish(report);
   obs.write_default_json(report, "BENCH_kernels.json");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_kernels", run, argc, argv);
 }

@@ -19,6 +19,10 @@
 // per-phase flop models via add_phase_model() -- finish() attaches the
 // "attainment" report section.
 //
+// Every bench's main is guarded_main(): an exception that escapes the run
+// (a bad flag value, a bad BST_* variable) prints "<bench>: error: <what>"
+// and exits 1 instead of aborting.
+//
 // The default JSON output honors BST_BENCH_OUT: when set, BENCH_*.json
 // lands in that directory so CI can collect every bench artifact from one
 // place.  --json=<path> overrides; --json=none suppresses.
@@ -43,6 +47,17 @@
 #include "util/trace.h"
 
 namespace bst::bench {
+
+/// Runs `run` and turns an exception that escapes it into
+/// "<bench>: error: <what>" on stderr and exit code 1.
+inline int guarded_main(const char* bench, int (*run)(int, char**), int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", bench, e.what());
+    return 1;
+  }
+}
 
 class Obs {
  public:

@@ -115,9 +115,7 @@ void family_table(la::index_t n, int seeds, util::PerfReport& report) {
   std::cout << "paper: \"typically two steps of iterative refinement are sufficient\"\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   bench::Obs obs(cli);
@@ -134,4 +132,10 @@ int main(int argc, char** argv) {
   report.metric("time_s", util::wall_seconds() - run_t0);
   obs.finish(report);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_refine", run, argc, argv);
 }

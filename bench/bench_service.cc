@@ -77,9 +77,7 @@ std::vector<double> rhs_for(la::index_t n, int r) {
   return b;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   const auto n = static_cast<la::index_t>(cli.get_int("n", 512));
@@ -220,4 +218,10 @@ int main(int argc, char** argv) {
   obs.finish(report);
   obs.write_default_json(report, "BENCH_service.json");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_service", run, argc, argv);
 }

@@ -107,9 +107,7 @@ void solver_crossover(const util::Cli& cli, util::PerfReport& report) {
             << " ms (" << pcg_rep.pcg_iterations << " iterations)\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::enable_flush_to_zero();
   util::Cli cli(argc, argv);
   bench::Obs obs(cli);
@@ -124,4 +122,10 @@ int main(int argc, char** argv) {
   obs.finish(report);
   obs.write_default_json(report, "BENCH_superfast.json");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main("bench_superfast", run, argc, argv);
 }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/solve.h"
+#include "la/kernel_config.h"
 #include "la/norms.h"
 #include "util/env.h"
 #include "util/watchdog.h"
@@ -93,6 +94,32 @@ PolicyDecision choose_solver(const toeplitz::BlockToeplitz& t, const SolverPolic
   return d;
 }
 
+index_t choose_block_size(const toeplitz::BlockToeplitz& t) {
+  const index_t m = t.block_size();
+  index_t ms = m;
+  while (ms > 0 && ms < la::kMicroRows) ms *= 2;
+  return ms != m && t.order() % ms == 0 ? ms : m;
+}
+
+SchurFactor factor_spd(const toeplitz::BlockToeplitz& t, SchurOptions opt) {
+  if (opt.block_size != 0) return block_schur_factor(t, opt);
+  opt.block_size = choose_block_size(t);
+  if (opt.block_size != t.block_size()) {
+    try {
+      return block_schur_factor(t, opt);
+    } catch (const NotPositiveDefinite&) {
+      opt.block_size = t.block_size();  // retry_at_m
+    }
+  }
+  return block_schur_factor(t, opt);
+}
+
+const char* block_size_reason(const toeplitz::BlockToeplitz& t, index_t requested,
+                              index_t in_effect) {
+  if (requested != 0) return "caller";
+  return in_effect == choose_block_size(t) ? "policy" : "retry_at_m";
+}
+
 SolveReport toeplitz_solve(const toeplitz::BlockToeplitz& t, const std::vector<double>& b,
                            const SolveOptions& opt) {
   SolveReport rep;
@@ -134,11 +161,18 @@ SolveReport toeplitz_solve(const toeplitz::BlockToeplitz& t, const std::vector<d
   std::optional<SchurFactor> spd;
   std::optional<LdlFactor> ldl;
 
+  // The policy picks m_s along with the route; a forced route runs the
+  // kernels as configured, block_size = 0 meaning the structural m.
+  const bool forced = opt.policy.kind != SolverKind::Auto;
   if (!opt.assume_indefinite) {
+    SchurOptions spd_opt = opt.spd;
+    if (forced && spd_opt.block_size == 0) spd_opt.block_size = t.block_size();
     try {
-      spd = block_schur_factor(t, opt.spd);
+      spd = factor_spd(t, spd_opt);
       rep.path = SolvePath::Spd;
       rep.factor_flops = spd->flops;
+      rep.block_size = spd->block_size;
+      rep.block_size_reason = block_size_reason(t, spd_opt.block_size, spd->block_size);
       fsolve = [&spd](const std::vector<double>& rhs, std::vector<double>& out) {
         out = solve_spd(*spd, rhs);
       };
@@ -151,6 +185,8 @@ SolveReport toeplitz_solve(const toeplitz::BlockToeplitz& t, const std::vector<d
     rep.path = ldl->perturbations.empty() ? SolvePath::Indefinite
                                           : SolvePath::IndefinitePerturbed;
     rep.factor_flops = ldl->flops;
+    rep.block_size = ldl->block_size;
+    rep.block_size_reason = forced || opt.indefinite.block_size != 0 ? "caller" : "policy";
     rep.interchanges = ldl->interchanges;
     rep.perturbations = ldl->perturbations.size();
     fsolve = [&ldl](const std::vector<double>& rhs, std::vector<double>& out) {

@@ -15,8 +15,14 @@
 // whose answer's backward error exceeds the bound, falls back to Schur
 // with mandatory refinement ("pcg+fallback").
 //
-// Schur dispatch (unchanged from the original policy):
-//   1. try the SPD block Schur factorization (cheapest, T = R^T R);
+// Block size: with block_size = 0 the policy also picks the working block
+// size m_s of the SPD factorization (choose_block_size, paper section 6.5,
+// Fig. 10); a forced route runs the kernels as configured, where 0 means
+// the structural m.  The indefinite driver keeps m.
+//
+// Schur dispatch:
+//   1. try the SPD block Schur factorization (cheapest, T = R^T R); a
+//      breakdown at a chosen m_s > m retries once at m (factor_spd);
 //   2. on breakdown (NotPositiveDefinite, also at step 0 when the leading
 //      m_s x m_s block is not positive definite), fall back to the
 //      indefinite extension (signature pivoting + singular-minor
@@ -88,10 +94,33 @@ struct PolicyDecision {
 /// (orders >= pcg_min_n under Auto), O(1) otherwise.
 PolicyDecision choose_solver(const toeplitz::BlockToeplitz& t, const SolverPolicy& policy);
 
+/// The working block size m_s that toeplitz_solve and service::Service
+/// factor at when the caller leaves block_size = 0: the smallest m 2^j that
+/// fills the micro-kernel's row tile (la::kMicroRows = 8 rows) when it
+/// divides the order, else m -- so m >= 8 keeps m.  The flops grow as
+/// 4 m_s n^2 but the reflector shapes reach the packed BLAS3 path, whose
+/// rate grows faster (paper Fig. 10, EXPERIMENTS.md E6); E18 measures the
+/// rule against every candidate m_s.  The kernels themselves keep reading
+/// block_size = 0 as the structural m.
+index_t choose_block_size(const toeplitz::BlockToeplitz& t);
+
+/// The SPD factorization of the entry points: at opt.block_size when it is
+/// set, else at choose_block_size(t).  A NotPositiveDefinite at a chosen
+/// m_s > m retries once at m (prolate(1024, 0.49) breaks down at every
+/// m_s > 1 and factors at m = 1); a breakdown there propagates.  The
+/// factor's block_size is the m_s in effect.
+SchurFactor factor_spd(const toeplitz::BlockToeplitz& t, SchurOptions opt);
+
+/// Why a factor of `t` has block size `in_effect`, given the `requested`
+/// one: "caller" (requested != 0), "policy" (choose_block_size's m_s) or
+/// "retry_at_m" (the chosen m_s broke down; factor_spd redid it at m).
+const char* block_size_reason(const toeplitz::BlockToeplitz& t, index_t requested,
+                              index_t in_effect);
+
 /// Options for the one-call solver.
 struct SolveOptions {
-  SchurOptions spd;              // used for the SPD attempt
-  IndefiniteOptions indefinite;  // used for the fallback
+  SchurOptions spd;              // the SPD attempt (block_size 0: factor_spd's m_s)
+  IndefiniteOptions indefinite;  // the fallback (block_size 0: the structural m)
   RefineOptions refine;
   SolverPolicy policy;           // solver-crossover policy (Auto by default)
   PcgOptions pcg;                // used when the PCG path is taken
@@ -117,6 +146,12 @@ struct SolveReport {
   std::string solver_path = "schur";
   /// Why the policy chose this route (PolicyDecision::reason).
   std::string policy_reason;
+  /// Working block size m_s of the factor that produced the answer, and
+  /// why it has it: "caller", "policy" or "retry_at_m" (block_size_reason;
+  /// the indefinite driver's m is "policy", any m_s under a forced route
+  /// "caller").  0 and "" on the pcg route, which factors nothing.
+  index_t block_size = 0;
+  std::string block_size_reason;
   int pcg_iterations = 0;         // matvecs spent in PCG (0 = not attempted)
   double condest = -1.0;          // policy's condition probe, -1 = not probed
   int refinement_steps = 0;

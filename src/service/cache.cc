@@ -1,8 +1,12 @@
 #include "service/cache.h"
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <utility>
 
+#include "core/solver.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -18,14 +22,28 @@ const util::CtrId kEvictions = util::Metrics::counter("service_cache_evictions")
 // lock wherever resident_ changes.
 const util::GaugeId kResident = util::Metrics::gauge("service_cache_resident_bytes");
 
-// FNV-1a 64 over raw bytes.
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t size) {
+// xxHash64's primes, round and avalanche, one 64-bit word per round.  The
+// multiply spreads a word's low bits up and the rotate brings the high bits
+// down, so unlike an FNV-1a fold of whole words, two flipped sign bits
+// cannot cancel out.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+
+std::uint64_t fold_words(std::uint64_t h, const void* data, std::size_t words) {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i * sizeof w, sizeof w);
+    h = std::rotl(h + w * kP2, 31) * kP1;
   }
   return h;
+}
+
+std::uint64_t avalanche(std::uint64_t h) {
+  h = (h ^ (h >> 33)) * kP2;
+  h = (h ^ (h >> 29)) * kP3;
+  return h ^ (h >> 32);
 }
 
 std::size_t factor_bytes(const core::SchurFactor& f) {
@@ -36,21 +54,21 @@ std::size_t factor_bytes(const core::SchurFactor& f) {
 }  // namespace
 
 std::string problem_key(const toeplitz::BlockToeplitz& t, const core::SchurOptions& opt) {
-  const la::index_t m = t.block_size(), p = t.num_blocks();
-  const auto rep = static_cast<std::int64_t>(opt.rep);
-  std::uint64_t h = 14695981039346656037ull;
-  h = fnv1a_bytes(h, &m, sizeof m);
-  h = fnv1a_bytes(h, &p, sizeof p);
-  h = fnv1a_bytes(h, &opt.block_size, sizeof opt.block_size);
-  h = fnv1a_bytes(h, &rep, sizeof rep);
-  h = fnv1a_bytes(h, &opt.inner_block, sizeof opt.inner_block);
-  h = fnv1a_bytes(h, &opt.breakdown_tol, sizeof opt.breakdown_tol);
+  const std::int64_t head[] = {
+      t.block_size(),
+      t.num_blocks(),
+      opt.block_size != 0 ? opt.block_size : core::choose_block_size(t),
+      static_cast<std::int64_t>(opt.rep),
+      opt.inner_block,
+      std::bit_cast<std::int64_t>(opt.breakdown_tol),
+  };
+  std::uint64_t h = fold_words(kP1, head, std::size(head));
   const la::CView row = t.first_row();
   for (la::index_t j = 0; j < row.cols(); ++j) {
-    h = fnv1a_bytes(h, row.col(j), static_cast<std::size_t>(row.rows()) * sizeof(double));
+    h = fold_words(h, row.col(j), static_cast<std::size_t>(row.rows()));
   }
   char hex[20];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(avalanche(h)));
   return hex;
 }
 

@@ -6,7 +6,8 @@
 // regime the factor is *the* expensive object (same structural point as
 // Kanhouche's inverse-factorization papers, PAPERS.md).  This cache holds
 // recently used factors keyed by problem_key(): a hash of the first block
-// row's bytes and every numerically relevant SchurOptions knob.
+// row's bytes and every numerically relevant SchurOptions knob, the m_s the
+// factor is built at included.
 //
 // Eviction is LRU by *resident bytes* (an n x n factor is n^2 doubles; a
 // thousand cached n = 512 systems is 2 GiB -- entry counts are the wrong
@@ -36,10 +37,11 @@ namespace bst::service {
 
 using FactorPtr = std::shared_ptr<const core::SchurFactor>;
 
-/// Canonical cache key of a problem: the FNV-1a 64 hash, in hex, of the
-/// matrix content (m, p and the first block row's bytes) and the
-/// numerically relevant factorization options (m_s, rep, inner_block,
-/// breakdown_tol), hashed as their bytes.
+/// Canonical cache key of a problem: a 64-bit hash, in hex, of the matrix
+/// content (m, p and the first block row) and the numerically relevant
+/// factorization options (rep, inner_block, breakdown_tol, and the m_s the
+/// factor is built at: opt.block_size, or core::choose_block_size(t) when
+/// it is 0), folded 8 bytes per step.
 std::string problem_key(const toeplitz::BlockToeplitz& t, const core::SchurOptions& opt);
 
 /// Copied-out cache counters.

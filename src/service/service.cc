@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/solve.h"
+#include "core/solver.h"
 #include "util/crashbox.h"
 #include "util/env.h"
 #include "util/fault.h"
@@ -149,7 +150,7 @@ Service::~Service() {
 
 FactorPtr Service::factor_for(const toeplitz::BlockToeplitz& t, const std::string& key,
                               bool* hit) {
-  auto factory = [&] { return core::block_schur_factor(t, opt_.schur); };
+  auto factory = [&] { return core::factor_spd(t, opt_.schur); };
   if (opt_.cache_enabled) return cache_.get_or_factor(key, factory, hit);
   if (hit != nullptr) *hit = false;
   return std::make_shared<const core::SchurFactor>(factory());
@@ -336,6 +337,8 @@ void Service::serve(const toeplitz::BlockToeplitz& t, std::span<Request> batch,
     }
     shared.done_ns = util::TraceClock::now_ns();
     shared.factor_flops = f->flops;
+    shared.block_size = f->block_size;
+    shared.block_size_reason = core::block_size_reason(t, opt_.schur.block_size, f->block_size);
     shared.batch_cols = cols;
     shared.factor_ns = factor_done_ns - start_ns;
     shared.solve_ns = shared.done_ns - factor_done_ns;

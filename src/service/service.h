@@ -4,7 +4,7 @@
 // Production traffic for this solver is *many* solves: GP-regression
 // sweeps and per-user multichannel predictors fire thousands of small
 // block Toeplitz systems, most sharing a handful of matrices.  The Service
-// layers three things over core::block_schur_factor + the level-3 solve
+// layers three things over core::factor_spd + the level-3 solve
 // path to serve that shape of load:
 //
 //   * a FactorCache (service/cache.h): factors are cached by a hash of the
@@ -32,10 +32,12 @@
 // packed/direct crossover ignores the width), so this holds by
 // construction; rhs_panel changes no answer bit (tests/test_service.cc).
 //
-// Scope: the Service serves the SPD fast path.  A matrix that is not
-// positive definite fails the factorization; the error propagates through
-// the returned future (or throws from the synchronous calls).  Indefinite
-// traffic belongs on core::toeplitz_solve.
+// Scope: the Service serves the SPD fast path, factoring through
+// core::factor_spd: at ServiceOptions::schur.block_size when it is set,
+// else at core::choose_block_size's m_s, retried once at m on a breakdown.
+// A matrix that is not positive definite fails the factorization; the error
+// propagates through the returned future (or throws from the synchronous
+// calls).  Indefinite traffic belongs on core::toeplitz_solve.
 //
 // Observability: hits/misses/evictions/admissions land in util::Metrics
 // counters; batch sizes and request latencies record unconditionally into
@@ -99,7 +101,7 @@ using la::index_t;
 
 /// Service configuration (see the header comment for the env knobs).
 struct ServiceOptions {
-  core::SchurOptions schur;            // factorization knobs (m_s, rep, ...)
+  core::SchurOptions schur;            // factorization knobs (m_s: 0 = core::choose_block_size)
   std::size_t cache_bytes = 256ull << 20;  // factor-cache budget
   std::size_t queue_capacity = 4096;   // bounded admission queue
   index_t max_batch = 256;             // same-key requests per dispatch
@@ -121,6 +123,8 @@ struct SolveResult {
   std::vector<double> x;
   bool cache_hit = false;         // factor came from the cache
   std::uint64_t factor_flops = 0; // flops of the (possibly cached) factor
+  index_t block_size = 0;         // the factor's working block size m_s
+  std::string block_size_reason;  // "caller", "policy" or "retry_at_m" (core::block_size_reason)
   index_t batch_cols = 1;         // requests coalesced into the same solve
   std::uint64_t done_ns = 0;      // TraceClock stamp at completion
   std::uint64_t req_id = 0;       // monotone id minted at admission
@@ -167,7 +171,7 @@ class Service {
 
   /// Synchronous solve of T x = b through the cache.  Throws
   /// core::NotPositiveDefinite (and std::invalid_argument on a size
-  /// mismatch) like the underlying factorization.
+  /// mismatch) like core::factor_spd.
   SolveResult solve(const toeplitz::BlockToeplitz& t, const std::vector<double>& b);
 
   /// Synchronous blocked multi-RHS solve: returns X with T X = B

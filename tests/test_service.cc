@@ -16,11 +16,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/refine.h"
 #include "core/schur.h"
 #include "core/solve.h"
+#include "core/solver.h"
 #include "service/cache.h"
 #include "service/service.h"
 #include "toeplitz/generators.h"
+#include "toeplitz/matvec.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 
@@ -67,10 +70,35 @@ TEST(ProblemKey, NumericalOptionsChangeKey) {
   EXPECT_NE(service::problem_key(t, a), service::problem_key(t, c));
 }
 
+// A key names the factor it holds: block_size = 0 hashes the m_s the
+// service factors at, so it shares the key of that m_s set explicitly.
+TEST(ProblemKey, HashesTheResolvedBlockSize) {
+  const BlockToeplitz t = toeplitz::kms(64, 0.5);
+  core::SchurOptions chosen;
+  chosen.block_size = core::choose_block_size(t);
+  ASSERT_EQ(chosen.block_size, 8);
+  EXPECT_EQ(service::problem_key(t, core::SchurOptions{}), service::problem_key(t, chosen));
+  core::SchurOptions at_m;
+  at_m.block_size = 1;
+  EXPECT_NE(service::problem_key(t, core::SchurOptions{}), service::problem_key(t, at_m));
+}
+
+// The key folds whole 64-bit words: two sign flips must not cancel out.
+TEST(ProblemKey, SignFlipsChangeKey) {
+  std::vector<double> row = {1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125};
+  const std::string key = service::problem_key(BlockToeplitz::scalar(row), {});
+  row[1] = -row[1];
+  row[2] = -row[2];
+  EXPECT_NE(service::problem_key(BlockToeplitz::scalar(row), {}), key);
+}
+
 // ------------------------------------------------------------- FactorCache
 
+// The reference factor at the m_s the service factors at.
 core::SchurFactor factor_of(const BlockToeplitz& t) {
-  return core::block_schur_factor(t, core::SchurOptions{});
+  core::SchurOptions opt;
+  opt.block_size = core::choose_block_size(t);
+  return core::block_schur_factor(t, opt);
 }
 
 TEST(FactorCache, HitOnSecondLookup) {
@@ -322,6 +350,41 @@ TEST(Service, ConcurrentSubmitBitwiseIdenticalToSerial) {
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kReqs));
   EXPECT_GE(s.batches, 1u);
   EXPECT_LE(s.cache.misses, 1u + 0u);  // one factorization serves everything
+}
+
+TEST(Service, ReportsTheBlockSizeInEffectAndWhy) {
+  const BlockToeplitz t = toeplitz::kms(64, 0.5);
+  Service chosen(small_opts());
+  const SolveResult r = chosen.solve(t, toeplitz::rhs_for_ones(t));
+  EXPECT_EQ(r.block_size, 8);
+  EXPECT_EQ(r.block_size_reason, "policy");
+  ServiceOptions at_m = small_opts();
+  at_m.schur.block_size = 1;
+  Service caller(at_m);
+  const SolveResult c = caller.solve(t, toeplitz::rhs_for_ones(t));
+  EXPECT_EQ(c.block_size, 1);
+  EXPECT_EQ(c.block_size_reason, "caller");
+}
+
+// prolate(1024, 0.49) breaks down at the chosen m_s = 8 and factors at
+// m = 1: the service retries at m, caches that factor and says so on a hit.
+TEST(Service, BreakdownAtChosenMsRetriesAtM) {
+  const BlockToeplitz t = toeplitz::prolate(1024, 0.49);
+  std::vector<double> b(1024);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = std::sin(0.7 * static_cast<double>(i));
+  Service svc(small_opts());
+  const SolveResult miss = svc.solve(t, b);
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_EQ(miss.block_size, 1);
+  EXPECT_EQ(miss.block_size_reason, "retry_at_m");
+  const SolveResult hit = svc.solve(t, b);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.block_size_reason, "retry_at_m");
+  EXPECT_EQ(hit.x, miss.x);
+  const toeplitz::MatVec op(t, toeplitz::MatVecMode::Direct);
+  std::vector<double> r;
+  op.residual(b, miss.x, r);
+  EXPECT_LE(op.backward_error(b, miss.x, r), core::backward_error_bound(1024));
 }
 
 TEST(Service, SubmitPropagatesFactorizationFailure) {

@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "baseline/block_levinson.h"
 #include "baseline/dense_solver.h"
@@ -435,6 +437,109 @@ TEST(ToeplitzSolve, SingularMinorInLeadingBlockIsTyped) {
       ADD_FAILURE() << "seed " << seed << " solved";
     } catch (const core::SingularMinor& e) {
       EXPECT_EQ(e.step, 0) << "seed " << seed;
+    }
+  }
+}
+
+// ---- block size policy (paper section 6.5, Fig. 10) ---------------------
+
+// A zero matrix of block size m and order n: the rule reads the shape only.
+BlockToeplitz of_shape(la::index_t m, la::index_t n) { return BlockToeplitz(m, la::Mat(m, n)); }
+
+TEST(BlockSizePolicy, SmallestTileFillingMultipleThatDividesTheOrder) {
+  struct Case {
+    la::index_t m, n, ms;
+  };
+  for (const Case c : {Case{1, 1024, 8}, Case{2, 512, 8}, Case{4, 512, 8}, Case{3, 768, 12},
+                       Case{5, 1000, 10}, Case{6, 960, 12}, Case{16, 3840, 16},
+                       Case{1, 1001, 1}, Case{1, 4, 1}}) {
+    EXPECT_EQ(core::choose_block_size(of_shape(c.m, c.n)), c.ms) << "m=" << c.m << " n=" << c.n;
+  }
+}
+
+TEST(BlockSizePolicy, ReportsTheBlockSizeInEffectAndWhy) {
+  const BlockToeplitz t = toeplitz::kms(512, 0.5);
+  const std::vector<double> b = toeplitz::rhs_for_ones(t);
+  const core::SolveReport chosen = core::toeplitz_solve(t, b);
+  EXPECT_EQ(chosen.path, SolvePath::Spd);
+  EXPECT_EQ(chosen.block_size, 8);
+  EXPECT_EQ(chosen.block_size_reason, "policy");
+  core::SolveOptions opt;
+  opt.spd.block_size = 1;
+  const core::SolveReport caller = core::toeplitz_solve(t, b, opt);
+  EXPECT_EQ(caller.block_size, 1);
+  EXPECT_EQ(caller.block_size_reason, "caller");
+  // A forced route runs the kernels as configured: the structural m.
+  opt.spd.block_size = 0;
+  opt.policy.kind = core::SolverKind::Schur;
+  const core::SolveReport forced = core::toeplitz_solve(t, b, opt);
+  EXPECT_EQ(forced.block_size, 1);
+  EXPECT_EQ(forced.block_size_reason, "caller");
+  EXPECT_EQ(forced.x, caller.x);
+}
+
+// prolate(1024, 0.49) breaks down at m_s = 2, 4, 8 and 16 but factors at
+// m = 1: the SPD attempt at the chosen m_s = 8 retries at m.
+TEST(BlockSizePolicy, BreakdownAtChosenMsRetriesAtM) {
+  const BlockToeplitz t = toeplitz::prolate(1024, 0.49);
+  ASSERT_EQ(core::choose_block_size(t), 8);
+  core::SchurOptions at8;
+  at8.block_size = 8;
+  EXPECT_THROW((void)core::block_schur_factor(t, at8), core::NotPositiveDefinite);
+  const std::vector<double> b = sin_rhs(1024, 1);
+  const core::SolveReport rep = core::toeplitz_solve(t, b);
+  EXPECT_EQ(rep.path, SolvePath::Spd);
+  EXPECT_EQ(rep.solver_path, "schur");
+  EXPECT_EQ(rep.block_size, 1);
+  EXPECT_EQ(rep.block_size_reason, "retry_at_m");
+  EXPECT_LE(reference_backward_error(t, b, rep.x), core::backward_error_bound(1024));
+  // The same bits as a solve the caller pinned at m.
+  core::SolveOptions at_m;
+  at_m.spd.block_size = 1;
+  EXPECT_EQ(core::toeplitz_solve(t, b, at_m).x, rep.x);
+}
+
+// Both SPD attempts break down (at m_s = 8, then at m); the indefinite
+// driver keeps m, so the answer has the bits of a solve that skips the SPD
+// attempt altogether -- the indefinite route as it was before the policy.
+TEST(BlockSizePolicy, IndefiniteRouteKeepsItsBitsWhenBothSpdAttemptsFail) {
+  const BlockToeplitz t = toeplitz::singular_minor_family(1024, 1);
+  for (const la::index_t ms : {la::index_t{8}, la::index_t{1}}) {
+    core::SchurOptions sopt;
+    sopt.block_size = ms;
+    EXPECT_THROW((void)core::block_schur_factor(t, sopt), core::NotPositiveDefinite) << ms;
+  }
+  const std::vector<double> b = sin_rhs(1024, 1);
+  const core::SolveReport rep = core::toeplitz_solve(t, b);
+  EXPECT_EQ(rep.solver_path, "schur+refine");
+  EXPECT_EQ(rep.block_size, 1);
+  EXPECT_EQ(rep.block_size_reason, "policy");
+  core::SolveOptions direct;
+  direct.assume_indefinite = true;
+  const core::SolveReport want = core::toeplitz_solve(t, b, direct);
+  ASSERT_EQ(rep.x.size(), want.x.size());
+  EXPECT_EQ(0, std::memcmp(rep.x.data(), want.x.data(), rep.x.size() * sizeof(double)));
+  EXPECT_EQ(rep.refinement_steps, want.refinement_steps);
+}
+
+// At the chosen m_s the plain route's answers stay within 10 n eps on
+// well- and ill-conditioned SPD families.
+TEST(BlockSizePolicy, ChosenMsAnswersStayWithinTheBound) {
+  for (const la::index_t n : {la::index_t{256}, la::index_t{1024}}) {
+    const std::vector<std::pair<std::string, BlockToeplitz>> inputs = {
+        {"kms(0.5)", toeplitz::kms(n, 0.5)},
+        {"kms(0.99999)", toeplitz::kms(n, 0.99999)},
+        {"fgn(0.3)", toeplitz::fgn(n, 0.3)},
+        {"fgn(0.99)", toeplitz::fgn(n, 0.99)},
+        {"random_spd_block(4)", toeplitz::random_spd_block(4, n / 4, 4, 7)},
+    };
+    for (const auto& [name, t] : inputs) {
+      const std::vector<double> b = sin_rhs(n, 3);
+      const core::SolveReport rep = core::toeplitz_solve(t, b);
+      EXPECT_EQ(rep.block_size, core::choose_block_size(t)) << name << " n=" << n;
+      EXPECT_EQ(rep.block_size_reason, "policy") << name << " n=" << n;
+      EXPECT_LE(reference_backward_error(t, b, rep.x), core::backward_error_bound(n))
+          << name << " n=" << n;
     }
   }
 }

@@ -82,6 +82,7 @@ int help() {
       "\n"
       "algorithm:\n"
       "  --ms=K              working block size m_s of the block Schur step\n"
+      "                      (unset: the policy's, reported as params.ms/ms_reason)\n"
       "  --rep=vy2           reflector representation: vy1|vy2|yty|u|seq\n"
       "  --solver=auto       solver family: auto|schur|pcg (auto = crossover policy)\n"
       "  --refine            force one step of iterative refinement\n"
@@ -351,8 +352,8 @@ int main(int argc, char** argv) {
       util::PerfReport report("bst_solve");
       report.param("matrix", matrix_label);
       report.param("n", static_cast<std::int64_t>(t.order()));
-      report.param("ms", static_cast<std::int64_t>(
-                             opt.spd.block_size ? opt.spd.block_size : t.block_size()));
+      report.param("ms", static_cast<std::int64_t>(rep.block_size));
+      report.param("ms_reason", rep.block_size_reason);
       report.param("rep", cli.get("rep", "vy2"));
       report.param("path", core::to_string(rep.path));
       report.param("solver", core::to_string(opt.policy.kind));
@@ -384,11 +385,11 @@ int main(int argc, char** argv) {
       }
       // Join the traced counters with the calibrated ceilings and the
       // eq. 25-32 flop models (SPD path only: the indefinite extension's
-      // extra pivoting work is not modeled).
+      // extra pivoting work is not modeled, nor is the attempt that broke
+      // down before a retry at m).
       std::vector<util::PhaseModel> models;
-      const la::index_t ms_eff = opt.spd.block_size ? opt.spd.block_size : t.block_size();
-      if (rep.path == core::SolvePath::Spd) {
-        models = core::schur_phase_models(opt.spd.rep, t.order(), ms_eff);
+      if (rep.path == core::SolvePath::Spd && rep.block_size_reason != "retry_at_m") {
+        models = core::schur_phase_models(opt.spd.rep, t.order(), rep.block_size);
       } else if (rep.solver_path == "pcg") {
         // A converged PCG run: the iteration count pins the matvec /
         // preconditioner apply counts, so the models are exact.
